@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import sim_harness
 from .errors import (
-    DegenerateSelection,
     InputError,
     InvalidAlpha,
     InvalidLambda,
@@ -237,9 +236,6 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(dumps17({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return EXIT_DATA
-    except DegenerateSelection as exc:
-        sys.stderr.write(dumps17({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return EXIT_DEGENERATE
     except OSError as exc:
         sys.stderr.write(dumps17({"error": "IOError", "message": str(exc)}) + "\n")
         return EXIT_DATA

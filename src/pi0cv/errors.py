@@ -64,7 +64,3 @@ class InvalidTheta(InputError):
 
 class LengthMismatch(Pi0cvError, ValueError):
     pass
-
-
-class DegenerateSelection(Pi0cvError, ArithmeticError):
-    """Every candidate partition produced a non-finite selection score."""

@@ -166,39 +166,28 @@ def read_pvalue_file(path: str | Path, column: str | None = None) -> np.ndarray:
     """
     path = Path(path)
     out: list[float] = []
-    if column is None:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                try:
-                    val = float(text)
-                except ValueError:
-                    raise InputError(f"{path}:{lineno}: not a number: {text!r}") from None
-                if not math.isfinite(val):
-                    raise InputError(f"{path}:{lineno}: non-finite value")
-                if not 0.0 <= val <= 1.0:
-                    raise InputError(f"{path}:{lineno}: p-value out of [0, 1]: {val!r}")
-                out.append(val)
-    else:
-        with open(path, newline="") as fh:
+    comments = column is None
+    with open(path, newline="") as fh:
+        if comments:
+            rows = enumerate(fh, start=1)
+        else:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or column not in reader.fieldnames:
                 raise InputError(f"{path}: no column named {column!r}")
-            for lineno, row in enumerate(reader, start=2):
-                text = (row[column] or "").strip()
-                if not text:
-                    continue
-                try:
-                    val = float(text)
-                except ValueError:
-                    raise InputError(f"{path}:{lineno}: not a number: {text!r}") from None
-                if not math.isfinite(val):
-                    raise InputError(f"{path}:{lineno}: non-finite value")
-                if not 0.0 <= val <= 1.0:
-                    raise InputError(f"{path}:{lineno}: p-value out of [0, 1]: {val!r}")
-                out.append(val)
+            rows = ((lineno, row[column] or "") for lineno, row in enumerate(reader, start=2))
+        for lineno, text in rows:
+            text = text.strip()
+            if not text or (comments and text.startswith("#")):
+                continue
+            try:
+                val = float(text)
+            except ValueError:
+                raise InputError(f"{path}:{lineno}: not a number: {text!r}") from None
+            if not math.isfinite(val):
+                raise InputError(f"{path}:{lineno}: non-finite value")
+            if not 0.0 <= val <= 1.0:
+                raise InputError(f"{path}:{lineno}: p-value out of [0, 1]: {val!r}")
+            out.append(val)
     return np.asarray(out, dtype=float)
 
 

@@ -21,6 +21,19 @@ sums s_ij = sum_k alpha_k^i / w_k^j:
   cell counts (``mse_coefficients``, cross-checked exactly against
   ``bias_variance_oracle``).
 
+So MSE(x) = [A x^2 + v1 x + v0] / [m(m-1)(m-x)]^2 with A = bias2 + var2, and
+the numerator of its derivative is linear in x, (2 A m + v1) x + (m v1 + 2 v0).
+When that slope is positive its root x* is the only minimum for x < m;
+otherwise the MSE is monotone or peaks inside, so an end wins.  The integer
+argmin over [1, m-1] is therefore one of the candidates 1, m-1, floor(x*),
+ceil(x*) (the last two clipped to [1, m-1], and 1 when x* is not a minimum),
+and ``select_p`` takes the first candidate of least selection MSE in that
+order.  The selection MSE clamps the variance at 0, which the exact
+coefficients never need on [1, m-1].  The MSE polynomial, the holdout rule,
+the selection MSE and the risk are each written once here; they take floats
+for one partition or equal-shaped arrays for the whole family, which is how
+``pi0_estimator._scan`` calls them.
+
 A second coefficient encoding (``phi_coefficients``, fields phi0..phi3) is
 kept because the risk-debug interface reports it for cross-implementation
 comparison.  Its variance part does not reproduce the exact multinomial
@@ -115,7 +128,8 @@ class MseCoefficients:
 
     MSE(x) = [bias2 * x^2 + var2 * x^2 + var1 * x + var0] / [m(m-1)(m-x)]^2
     with the variance part equal to Var[R_p] for integer p (validated against
-    ``bias_variance_oracle`` by exhaustive enumeration).
+    ``bias_variance_oracle`` by exhaustive enumeration).  The fields are
+    floats for one partition, or arrays with one entry per partition.
     """
 
     m: int
@@ -133,10 +147,8 @@ class PSelection:
     """Outcome of the holdout-size choice for one partition."""
 
     p_hat: int
-    p_real: float | None
-    grid_override: bool      # integer grid argmin differed from the rounded root
+    p_real: float | None     # critical point x* of the MSE, None when not finite
     p_independent: bool      # risk does not depend on p (s11 == s21)
-    clamped_points: int      # integer p where the variance polynomial went negative
 
 
 @dataclass(frozen=True)
@@ -183,7 +195,7 @@ def lpo_risk(counts: BinCounts, spec: PartitionSpec, p: int) -> float:
     return _risk_from_sums(ms.s11, ms.s21, m, p)
 
 
-def _risk_from_sums(s11: float, s21: float, m: int, p: int) -> float:
+def _risk_from_sums(s11, s21, m: int, p):
     # factor 1/((m-1)(m-p)) once; keeps the single-cell case exactly -1
     return ((2 * m - p) * s11 - m * (m - p + 1) * s21) / ((m - 1) * (m - p))
 
@@ -242,8 +254,11 @@ def phi_coefficients(ms: MomentSums, m: int) -> PhiCoefficients:
 
 def mse_coefficients(ms: MomentSums, m: int) -> MseCoefficients:
     """Exact MSE polynomial coefficients for R_p under multinomial counts."""
-    s11, s21 = ms.s11, ms.s21
-    s12, s22, s32 = ms.s12, ms.s22, ms.s32
+    return _mse_polynomial(m, ms.s11, ms.s21, ms.s12, ms.s22, ms.s32)
+
+
+def _mse_polynomial(m: int, s11, s21, s12, s22, s32) -> MseCoefficients:
+    """The coefficients from the moment sums, floats or equal-shaped arrays."""
     bias2 = (m - 1) ** 2 * (s11 - s21) ** 2
     var2 = 2 * m * (m - 1) * (2 * (m - 2) * s32 + s22 - (2 * m - 3) * s21 ** 2)
     var1 = 4 * m * (m - 1) * ((m + 1) * (2 * m - 3) * s21 ** 2
@@ -282,57 +297,43 @@ def selection_mse(coeffs, p) -> float | np.ndarray:
     bias2, v2, v1, v0 = coeffs.mse_parts()
     p = np.asarray(p, dtype=float)
     k2 = (m * (m - 1.0) * (m - p)) ** 2
-    var = v2 * p * p + v1 * p + v0
-    return (bias2 * p * p + np.maximum(var, 0.0)) / k2
+    return (bias2 * p ** 2 + np.maximum(v2 * p ** 2 + v1 * p + v0, 0.0)) / k2
 
 
-def critical_point(coeffs) -> float | None:
-    """Real root of the MSE derivative numerator, or None when degenerate.
-
-    d/dx MSE(x) has numerator proportional to (2 A m + v1) x + (m v1 + 2 v0)
-    with A = bias2 + v2, so the critical point is x* = -(m v1 + 2 v0)/(2 A m + v1).
-    """
+def _holdout(coeffs):
+    """(p_hat, x*): the first of 1, m-1, floor(x*), ceil(x*) of least selection MSE."""
     m = coeffs.m
     bias2, v2, v1, v0 = coeffs.mse_parts()
-    denom = 2.0 * (bias2 + v2) * m + v1
-    if denom == 0.0 or not math.isfinite(denom):
-        return None
-    x = -(m * v1 + 2.0 * v0) / denom
-    return x if math.isfinite(x) else None
+    lin = 2 * (bias2 + v2) * m + v1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xstar = np.divide(-(m * v1 + 2 * v0), lin)
+    # clipping to the integer ends commutes with floor and ceil; a critical
+    # point that is no minimum, or not finite, yields candidate 1
+    x = np.where(np.isfinite(xstar) & (lin > 0),
+                 np.minimum(np.maximum(xstar, 1.0), m - 1.0), 1.0)
+    cand = np.empty((4,) + x.shape)
+    cand[0] = 1.0
+    cand[1] = m - 1.0
+    cand[2] = np.floor(x)
+    cand[3] = np.ceil(x)
+    pick = selection_mse(coeffs, cand).argmin(axis=0)
+    return np.take_along_axis(cand, pick[np.newaxis], axis=0)[0], xstar
 
 
-def select_p(coeffs, m: int | None = None) -> PSelection:
+def select_p(coeffs) -> PSelection:
     """Choose the holdout size minimising the selection MSE over 1..m-1.
 
-    The authoritative answer is the integer grid argmin (exhaustive O(m) scan
-    with the first minimiser winning ties).  The closed-form critical point is
-    reported as ``p_real`` and the rounding rule round(x*) when x* lies in
-    [1, m-1] (round half away from zero), else 1, is checked against the grid
-    argmin; a disagreement sets ``grid_override``.
+    The MSE is a quadratic over [m(m-1)(m-x)]^2, so the integer argmin is
+    one of 1, m-1, floor(x*), ceil(x*) with x* the critical point (see the
+    module docstring).  Ties go to the first of these in that order, so a
+    criterion exactly flat in p selects p = 1.
     """
-    if m is None:
-        m = coeffs.m
-    elif m != coeffs.m:
-        raise ValueError(f"coefficients were built for m={coeffs.m}, got m={m}")
-    bias2, v2, v1, v0 = coeffs.mse_parts()
-    p = np.arange(1, m, dtype=float)
-    var = v2 * p * p + v1 * p + v0
-    clamped = int(np.count_nonzero(var < 0.0))
-    k2 = (m * (m - 1.0) * (m - p)) ** 2
-    msep = (bias2 * p * p + np.maximum(var, 0.0)) / k2
-    p_hat = int(p[int(np.argmin(msep))])
-
-    x = critical_point(coeffs)
-    if x is not None and 1.0 <= x <= m - 1.0:
-        rounded = int(math.floor(x + 0.5))
-    else:
-        rounded = 1
+    p_hat, xstar = _holdout(coeffs)
+    xstar = float(xstar)
     return PSelection(
-        p_hat=p_hat,
-        p_real=x,
-        grid_override=(p_hat != rounded),
-        p_independent=(bias2 == 0.0),
-        clamped_points=clamped,
+        p_hat=int(p_hat),
+        p_real=xstar if math.isfinite(xstar) else None,
+        p_independent=(coeffs.mse_parts()[0] == 0.0),
     )
 
 

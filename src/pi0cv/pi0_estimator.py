@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import InvalidLambda, InvalidRange
 from .histogram_core import PartitionSpec, PValueSample
+from .lpo_risk import _holdout, _mse_polynomial, _risk_from_sums, selection_mse
 
 __all__ = [
     "EstimatorConfig",
@@ -78,8 +79,6 @@ class _SearchTables:
     """Sample-independent index tables for one (n_min, n_max) range."""
 
     def __init__(self, n_min: int, n_max: int):
-        self.n_min = n_min
-        self.n_max = n_max
         ns, ks, ls, idx_k, idx_l, idx_n = [], [], [], [], [], []
         offset = 0
         self.grid = list(range(n_min, n_max + 1))
@@ -155,46 +154,10 @@ def _scan(sample: PValueSample, tab: _SearchTables, adaptive_p: bool):
     s22 = reg2 * n2 + ac ** 2 / wc ** 2
     s32 = reg3 * n2 + ac ** 3 / wc ** 2
 
-    # exact MSE polynomial coefficients, mirroring lpo_risk.mse_coefficients
-    b2 = (m - 1) ** 2 * (s11 - s21) ** 2
-    v2 = 2 * m * (m - 1) * (2 * (m - 2) * s32 + s22 - (2 * m - 3) * s21 ** 2)
-    v1 = 4 * m * (m - 1) * ((m + 1) * (2 * m - 3) * s21 ** 2
-                            - 2 * (m - 2) * (m + 1) * s32
-                            - (m - 1) * s11 * s21 - 2 * s22)
-    v0 = m * (m - 1) * ((m - 1) * (s12 - s11 ** 2)
-                        + 4 * (m - 1) * (m + 1) * s11 * s21
-                        - 2 * (m + 1) ** 2 * (2 * m - 3) * s21 ** 2
-                        + 4 * (m - 2) * (m + 1) ** 2 * s32
-                        - 2 * (m - 3) * (m + 1) * s22)
-
-    if adaptive_p:
-        # MSE is quadratic over [m(m-1)(m-x)]^2, so its derivative numerator is
-        # linear in x: the integer argmin lies among {1, m-1, floor(x*), ceil(x*)}
-        a2 = b2 + v2
-        lin = 2 * a2 * m + v1
-        const = m * v1 + 2 * v0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xstar = -const / lin
-        interior = np.isfinite(xstar) & (lin > 0)
-        cand = np.stack([
-            np.ones_like(s11),
-            np.full_like(s11, m - 1.0),
-            np.where(interior, np.clip(np.floor(xstar), 1, m - 1), 1.0),
-            np.where(interior, np.clip(np.ceil(xstar), 1, m - 1), 1.0),
-        ])
-        k2 = (m * (m - 1.0) * (m - cand)) ** 2
-        msec = (b2 * cand ** 2 + np.maximum(v2 * cand ** 2 + v1 * cand + v0, 0.0)) / k2
-        pick = np.argmin(msec, axis=0)
-        cols = np.arange(cand.shape[1])
-        phat = cand[pick, cols]
-        mse_at_p = msec[pick, cols]
-    else:
-        phat = np.ones_like(s11)
-        k2 = (m * (m - 1.0) * (m - 1.0)) ** 2
-        mse_at_p = (b2 + np.maximum(v2 + v1 + v0, 0.0)) / k2
-
-    risk = ((2 * m - phat) * s11 - m * (m - phat + 1) * s21) / ((m - 1) * (m - phat))
-    return cc, phat, risk, mse_at_p
+    coeffs = _mse_polynomial(m, s11, s21, s12, s22, s32)
+    phat = _holdout(coeffs)[0] if adaptive_p else np.ones_like(s11)
+    risk = _risk_from_sums(s11, s21, m, phat)
+    return cc, phat, risk, selection_mse(coeffs, phat)
 
 
 def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig()) -> Pi0Estimate:

@@ -95,6 +95,29 @@ class TestEstimateCommand:
         assert f"{3 / (5 * 0.7):.17g}" in out
 
 
+class TestDegenerateSelection:
+    @pytest.fixture
+    def nan_scan(self, monkeypatch):
+        import pi0cv.pi0_estimator as mod
+
+        def broken_scan(sample, tab, adaptive_p):
+            bad = np.full(tab.N.size, np.nan)
+            return bad, np.ones(tab.N.size), bad, bad
+
+        monkeypatch.setattr(mod, "_scan", broken_scan)
+
+    def test_estimate_exits_4(self, capsys, fixture_file, nan_scan):
+        code, payload = run_json(capsys, ["estimate", "--input", fixture_file])
+        assert code == 4
+        assert payload["error"] == "degenerate selection"
+        assert payload["pi0"] == 1.0
+
+    def test_mtp_exits_4(self, capsys, fixture_file, nan_scan):
+        code, payload = run_json(capsys, ["mtp", "--input", fixture_file])
+        assert code == 4
+        assert payload == {"error": "degenerate selection"}
+
+
 class TestMtpCommand:
     def test_pi0_override_reproduces_baseline(self, capsys, fixture_file):
         code, payload = run_json(capsys, ["mtp", "--input", fixture_file,

@@ -210,3 +210,19 @@ class TestReadPvalueFile:
         f.write_text("a,b\n1,2\n")
         with pytest.raises(InputError, match="no column"):
             read_pvalue_file(f, column="pval")
+
+    @pytest.mark.parametrize("text, message", [
+        ("abc", "not a number: 'abc'"),
+        ("nan", "non-finite value"),
+        ("inf", "non-finite value"),
+        ("-inf", "non-finite value"),
+        ("1.5", "p-value out of [0, 1]: 1.5"),
+        ("-0.1", "p-value out of [0, 1]: -0.1"),
+    ])
+    def test_csv_value_errors_cite_file_line(self, tmp_path, text, message):
+        # line 1 is the header, so the bad value on the third line is line 3
+        f = tmp_path / "p.csv"
+        f.write_text(f"gene,pval\ng1,0.4\ng2,{text}\ng3,0.6\n")
+        with pytest.raises(InputError) as info:
+            read_pvalue_file(f, column="pval")
+        assert str(info.value) == f"{f}:3: {message}"
