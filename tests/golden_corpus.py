@@ -45,6 +45,11 @@ def input_values() -> dict[str, np.ndarray]:
         # every point inside [0.3, 0.6]: many partitions hold all the mass in
         # one cell, where the risk does not depend on the holdout size
         "m20_narrow": 0.3 + 0.3 * np.random.default_rng(5).random(20),
+        # tie-heavy inputs: few distinct values, so many partitions share the
+        # same cell counts and tie exactly in risk
+        "m1000_round1": np.round(m1000, 1),
+        "m50_half": np.full(50, 0.5),
+        "m20_zeros_ones": np.repeat([0.0, 1.0], 10),
     }
 
 
@@ -53,6 +58,10 @@ def cases() -> dict[str, list[str]]:
     out = {}
     for name in ("m2", "m3", "m1000", "m1000_round2", "m100000"):
         for method in ("lpo", "loo", "ss", "storey"):
+            out[f"estimate_{method}_{name}"] = ["estimate", "--input", f"{{{name}}}",
+                                                "--method", method]
+    for name in ("m1000_round1", "m50_half", "m20_zeros_ones"):
+        for method in ("lpo", "loo"):
             out[f"estimate_{method}_{name}"] = ["estimate", "--input", f"{{{name}}}",
                                                 "--method", method]
     out["mtp_m1000"] = ["mtp", "--input", "{m1000}", "--alpha", "0.15"]
