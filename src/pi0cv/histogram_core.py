@@ -174,7 +174,9 @@ def read_pvalue_file(path: str | Path, column: str | None = None) -> np.ndarray:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or column not in reader.fieldnames:
                 raise InputError(f"{path}: no column named {column!r}")
-            rows = ((lineno, row[column] or "") for lineno, row in enumerate(reader, start=2))
+            # line_num is the physical line a record ends on, which counts
+            # the lines of quoted fields that span several and of blank rows
+            rows = ((reader.line_num, row[column] or "") for row in reader)
         for lineno, text in rows:
             text = text.strip()
             if not text or (comments and text.startswith("#")):

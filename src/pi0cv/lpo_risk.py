@@ -260,13 +260,14 @@ def mse_coefficients(ms: MomentSums, m: int) -> MseCoefficients:
 def _mse_polynomial(m: int, s11, s21, s12, s22, s32) -> MseCoefficients:
     """The coefficients from the moment sums, floats or equal-shaped arrays."""
     bias2 = (m - 1) ** 2 * (s11 - s21) ** 2
-    var2 = 2 * m * (m - 1) * (2 * (m - 2) * s32 + s22 - (2 * m - 3) * s21 ** 2)
-    var1 = 4 * m * (m - 1) * ((m + 1) * (2 * m - 3) * s21 ** 2
+    s21_sq = s21 ** 2
+    var2 = 2 * m * (m - 1) * (2 * (m - 2) * s32 + s22 - (2 * m - 3) * s21_sq)
+    var1 = 4 * m * (m - 1) * ((m + 1) * (2 * m - 3) * s21_sq
                               - 2 * (m - 2) * (m + 1) * s32
                               - (m - 1) * s11 * s21 - 2 * s22)
     var0 = m * (m - 1) * ((m - 1) * (s12 - s11 ** 2)
                           + 4 * (m - 1) * (m + 1) * s11 * s21
-                          - 2 * (m + 1) ** 2 * (2 * m - 3) * s21 ** 2
+                          - 2 * (m + 1) ** 2 * (2 * m - 3) * s21_sq
                           + 4 * (m - 2) * (m + 1) ** 2 * s32
                           - 2 * (m - 3) * (m + 1) * s22)
     return MseCoefficients(m=m, bias2=bias2, var2=var2, var1=var1, var0=var0)
@@ -295,13 +296,35 @@ def selection_mse(coeffs, p) -> float | np.ndarray:
     """Squared bias plus variance clamped below at 0, the selection criterion."""
     m = coeffs.m
     bias2, v2, v1, v0 = coeffs.mse_parts()
-    p = np.asarray(p, dtype=float)
-    k2 = (m * (m - 1.0) * (m - p)) ** 2
-    return (bias2 * p ** 2 + np.maximum(v2 * p ** 2 + v1 * p + v0, 0.0)) / k2
+    # (bias2 p^2 + max(v2 p^2 + v1 p + v0, 0)) / (m (m-1) (m-p))^2, partly in
+    # place but with the expression's operations in its order; p may be a
+    # number or an array, of floats or of integers
+    p2 = p * p
+    var = v2 * p2
+    var += v1 * p
+    var += v0
+    out = bias2 * p2
+    out += np.maximum(var, 0.0)
+    k = m * (m - 1.0) * (m - p)
+    k *= k
+    out /= k
+    return out
+
+
+def _where(cond, a, b):
+    """np.where, without its cost of microseconds on one partition's scalars."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
 def _holdout(coeffs):
-    """(p_hat, x*): the first of 1, m-1, floor(x*), ceil(x*) of least selection MSE."""
+    """(p_hat, its selection MSE, x*): p_hat is the first of 1, m-1, floor(x*),
+    ceil(x*) of least selection MSE.
+
+    The candidates are scored one at a time, each against the best so far,
+    so the whole family never needs a stack of all four.
+    """
     m = coeffs.m
     bias2, v2, v1, v0 = coeffs.mse_parts()
     lin = 2 * (bias2 + v2) * m + v1
@@ -309,15 +332,18 @@ def _holdout(coeffs):
         xstar = np.divide(-(m * v1 + 2 * v0), lin)
     # clipping to the integer ends commutes with floor and ceil; a critical
     # point that is no minimum, or not finite, yields candidate 1
-    x = np.where(np.isfinite(xstar) & (lin > 0),
-                 np.minimum(np.maximum(xstar, 1.0), m - 1.0), 1.0)
-    cand = np.empty((4,) + x.shape)
-    cand[0] = 1.0
-    cand[1] = m - 1.0
-    cand[2] = np.floor(x)
-    cand[3] = np.ceil(x)
-    pick = selection_mse(coeffs, cand).argmin(axis=0)
-    return np.take_along_axis(cand, pick[np.newaxis], axis=0)[0], xstar
+    x = _where(np.isfinite(xstar) & (lin > 0),
+               np.minimum(np.maximum(xstar, 1.0), m - 1.0), 1.0)
+    del lin     # one family-length array fewer while the candidates are scored
+    p_hat, best = 1.0, selection_mse(coeffs, 1.0)
+    for cand in (m - 1.0, np.floor(x), np.ceil(x)):
+        mse = selection_mse(coeffs, cand)
+        # np.argmin's rule over the candidates in order: a smaller MSE wins,
+        # and so does the first NaN
+        take = (mse < best) | ((mse != mse) & (best == best))
+        p_hat = _where(take, cand, p_hat)
+        best = _where(take, mse, best)
+    return p_hat, best, xstar
 
 
 def select_p(coeffs) -> PSelection:
@@ -328,7 +354,7 @@ def select_p(coeffs) -> PSelection:
     module docstring).  Ties go to the first of these in that order, so a
     criterion exactly flat in p selects p = 1.
     """
-    p_hat, xstar = _holdout(coeffs)
+    p_hat, _, xstar = _holdout(coeffs)
     xstar = float(xstar)
     return PSelection(
         p_hat=int(p_hat),

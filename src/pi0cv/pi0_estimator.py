@@ -12,7 +12,10 @@ the coarsest grid N wins, then the smallest dimension, then the widest
 central cell, then the largest k.  The band suppresses winner's-curse picks
 from the ~1.7e5-strong family, where a noise-favoured fine partition can
 otherwise park its central cell in a steep region of the density and read a
-meaningless height; pure argmin is recovered with se_band=0.
+meaningless height; pure argmin is recovered with se_band=0.  The argmin
+itself is ``risk.min()`` and the partitions that tie with it; the tie-break
+order above is applied by sorting only that tie set, and then only the band,
+never the whole family.
 
 The whole scan is vectorised: per grid N the cell counts and their power
 prefix sums cost O(m + N) once, after which every (k, l) pair costs O(1).
@@ -142,22 +145,51 @@ def _scan(sample: PValueSample, tab: _SearchTables, adaptive_p: bool):
 
     cc = cum[tab.idx_l] - cum[tab.idx_k]
     ac = cc / m
-    wc = tab.W
-    nf = tab.Nf
-    reg1 = pref1[tab.idx_k] + pref1[tab.idx_n] - pref1[tab.idx_l]
-    reg2 = pref2[tab.idx_k] + pref2[tab.idx_n] - pref2[tab.idx_l]
-    reg3 = pref3[tab.idx_k] + pref3[tab.idx_n] - pref3[tab.idx_l]
-    s11 = reg1 * nf + ac / wc
-    s21 = reg2 * nf + ac ** 2 / wc
-    n2 = nf * nf
-    s12 = reg1 * n2 + ac / wc ** 2
-    s22 = reg2 * n2 + ac ** 2 / wc ** 2
-    s32 = reg3 * n2 + ac ** 3 / wc ** 2
+    ac2 = ac * ac
+    wc, nf = tab.W, tab.Nf
+    wc2, n2 = wc * wc, nf * nf
+    tmp = np.empty_like(ac)
+
+    def outer(pref):
+        # sum over the cells outside the central one, each of width 1/N
+        out = pref[tab.idx_k]
+        out += pref[tab.idx_n]
+        out -= pref[tab.idx_l]
+        return out
+
+    # s_ij = outer(pref_i) N^j + ac^i / wc^j, computed in place but with the
+    # expression's operations in its order.  The family has 171,700
+    # partitions, so arrays are dropped as soon as they are dead: a lower peak
+    # means fewer fresh pages to fault in on every call.
+    s11 = outer(pref1)
+    s21 = outer(pref2)
+    s12 = s11 * n2
+    s12 += np.divide(ac, wc2, out=tmp)
+    s22 = s21 * n2
+    s22 += np.divide(ac2, wc2, out=tmp)
+    s11 *= nf
+    s11 += np.divide(ac, wc, out=tmp)
+    s21 *= nf
+    s21 += np.divide(ac2, wc, out=tmp)
+    s32 = outer(pref3)
+    s32 *= n2
+    s32 += np.divide(np.power(ac, 3, out=tmp), wc2, out=tmp)
+    del ac, ac2, wc2, n2, tmp
 
     coeffs = _mse_polynomial(m, s11, s21, s12, s22, s32)
-    phat = _holdout(coeffs)[0] if adaptive_p else np.ones_like(s11)
-    risk = _risk_from_sums(s11, s21, m, phat)
-    return cc, phat, risk, selection_mse(coeffs, phat)
+    del s12, s22, s32
+    if adaptive_p:
+        phat, mse_at_p, _ = _holdout(coeffs)
+    else:
+        phat, mse_at_p = np.ones_like(s11), selection_mse(coeffs, 1.0)
+    return cc, phat, _risk_from_sums(s11, s21, m, phat), mse_at_p
+
+
+def _first_by_shape(tab: _SearchTables, sel: np.ndarray) -> int:
+    """The partition of ``sel`` with the coarsest grid, then the smallest
+    dimension, the widest central cell and the largest k; the first index
+    among equals."""
+    return sel[np.lexsort((-tab.K[sel], -tab.W[sel], tab.D[sel], tab.N[sel]))[0]]
 
 
 def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig()) -> Pi0Estimate:
@@ -178,15 +210,13 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
     if not finite.all():
         risk = np.where(finite, risk, np.inf)
 
-    order = np.lexsort((-tab.K, -tab.W, tab.D, tab.N, risk))
-    jmin = order[0]
+    jmin = _first_by_shape(tab, np.flatnonzero(risk == risk.min()))
     if cfg.se_band > 0.0:
         se = float(np.sqrt(max(mse_at_p[jmin], 0.0)))
         if not np.isfinite(se):
             se = 0.0
         band = risk[jmin] + cfg.se_band * se
-        sel = np.nonzero(risk <= band)[0]
-        j = sel[np.lexsort((-tab.K[sel], -tab.W[sel], tab.D[sel], tab.N[sel]))[0]]
+        j = _first_by_shape(tab, np.flatnonzero(risk <= band))
     else:
         j = jmin
 

@@ -226,3 +226,18 @@ class TestReadPvalueFile:
         with pytest.raises(InputError) as info:
             read_pvalue_file(f, column="pval")
         assert str(info.value) == f"{f}:3: {message}"
+
+    def test_csv_errors_cite_physical_line(self, tmp_path):
+        # the quoted gene name spans lines 2 and 3, so the bad value is on line 4
+        f = tmp_path / "p.csv"
+        f.write_text('gene,pval\n"a\nb",0.5\ng2,1.5\n')
+        with pytest.raises(InputError) as info:
+            read_pvalue_file(f, column="pval")
+        assert str(info.value) == f"{f}:4: p-value out of [0, 1]: 1.5"
+
+    def test_csv_errors_count_blank_rows(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("gene,pval\ng1,0.4\n\ng2,x\n")
+        with pytest.raises(InputError) as info:
+            read_pvalue_file(f, column="pval")
+        assert str(info.value) == f"{f}:4: not a number: 'x'"

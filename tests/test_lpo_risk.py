@@ -6,6 +6,8 @@ import pytest
 from pi0cv.errors import InvalidP, PoleAtM, TooLargeForOracle
 from pi0cv.histogram_core import BinCounts, PartitionSpec, bin_counts, grid_prefix, load_sample
 from pi0cv.lpo_risk import (
+    MseCoefficients,
+    _holdout,
     bias_hat,
     bias_variance_oracle,
     evaluate_partition,
@@ -347,6 +349,110 @@ class TestSelectP:
             perm = rng.permutation(3)
             sel = select_p(mse_coefficients(moment_sums_from(alpha[perm], omega[perm]), m))
             assert sel.p_hat == base.p_hat
+
+
+def _stacked_holdout(coeffs):
+    """(p_hat, its selection MSE, x*) by the rule as first written.
+
+    The four candidates are stacked into one array, scored together and
+    picked by np.argmin down the stack.  Kept as the oracle for ``_holdout``,
+    which scores them one at a time.
+    """
+    m = coeffs.m
+    bias2, v2, v1, v0 = coeffs.mse_parts()
+    lin = 2 * (bias2 + v2) * m + v1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xstar = np.divide(-(m * v1 + 2 * v0), lin)
+    x = np.where(np.isfinite(xstar) & (lin > 0),
+                 np.minimum(np.maximum(xstar, 1.0), m - 1.0), 1.0)
+    cand = np.empty((4,) + x.shape)
+    cand[0] = 1.0
+    cand[1] = m - 1.0
+    cand[2] = np.floor(x)
+    cand[3] = np.ceil(x)
+    k2 = (m * (m - 1.0) * (m - cand)) ** 2
+    mse = (bias2 * cand ** 2 + np.maximum(v2 * cand ** 2 + v1 * cand + v0, 0.0)) / k2
+    pick = mse.argmin(axis=0)[np.newaxis]
+    return (np.take_along_axis(cand, pick, axis=0)[0],
+            np.take_along_axis(mse, pick, axis=0)[0], xstar)
+
+
+def _holdout_rows(m, rng):
+    """Coefficient rows (bias2, var2, var1, var0) that exercise every branch."""
+    rows = []
+    for _ in range(40):        # plug-in coefficients of random partitions
+        d = int(rng.integers(1, 6))
+        alpha = rng.dirichlet(np.ones(d))
+        omega = rng.dirichlet(np.ones(d))
+        mc = mse_coefficients(moment_sums_from(alpha, omega), m)
+        rows.append(mc.mse_parts())
+    for _ in range(40):        # arbitrary signs and scales, lin <= 0 included
+        rows.append(tuple(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 12, 4)))
+    # x* exactly at 1, at m - 1, at an integer between and halfway between
+    for target in (1.0, m - 1.0, float(max(1, m // 2)), max(1, m // 2) + 0.5, 0.25, 2.0 * m):
+        bias2, v2, v1 = 3.0, 5.0, -7.0
+        lin = 2 * (bias2 + v2) * m + v1
+        rows.append((bias2, v2, v1, -(target * lin + m * v1) / 2))
+    # exact ties: every candidate's MSE is 0, or inf, or equal by symmetry
+    rows += [(0.0, -1.0, -1.0, -1.0), (0.0, 0.0, 0.0, 0.0), (np.inf, 1.0, 1.0, 1.0),
+             (0.0, 0.0, 0.0, 1.0), (1.0, -1.0, 0.0, 0.0)]
+    # non-finite entries in each field
+    for field in range(4):
+        for bad in (np.nan, np.inf, -np.inf):
+            row = [2.0, 3.0, -50.0, 100.0]
+            row[field] = bad
+            rows.append(tuple(row))
+    rows += [(np.inf, -np.inf, 0.0, 0.0), (np.nan, np.nan, np.nan, np.nan),
+             (0.0, np.inf, -np.inf, 0.0), (0.0, 0.0, np.inf, -np.inf)]
+    rows.append(_first_nan_row(m))
+    return np.array(rows, dtype=float)
+
+
+def _first_nan_row(m):
+    """A row whose MSE is 0 at p = 1 and NaN at p = m - 1, floor(x*) and
+    ceil(x*) (bias2 p^2 and var2 p^2 overflow to -inf and inf there), with
+    x* = 0.75 m; np.argmin takes the first NaN, p = m - 1."""
+    big = 10 * (1e308 / m ** 2)
+    return (-big, big, 1.0, -(0.75 * m + m) / 2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # rows hold inf - inf on purpose
+class TestHoldoutAgainstStackedRule:
+    @pytest.mark.parametrize("m", [2, 3, 50, 1000, 100_000])
+    def test_family_arrays_match_bit_for_bit(self, m):
+        rows = _holdout_rows(m, np.random.default_rng(m))
+        coeffs = MseCoefficients(m, *rows.T)
+        p_hat, mse, xstar = _holdout(coeffs)
+        want_p, want_mse, want_x = _stacked_holdout(coeffs)
+        assert p_hat.tobytes() == want_p.tobytes()
+        np.testing.assert_array_equal(mse, want_mse)
+        np.testing.assert_array_equal(xstar, want_x)
+        np.testing.assert_array_equal(mse, selection_mse(coeffs, p_hat))
+
+    @pytest.mark.parametrize("m", [2, 3, 50, 1000, 100_000])
+    def test_scalar_select_p_agrees(self, m):
+        rows = _holdout_rows(m, np.random.default_rng(m))
+        want_p, _, want_x = _stacked_holdout(MseCoefficients(m, *rows.T))
+        for row, p, x in zip(rows, want_p, want_x):
+            sel = select_p(MseCoefficients(m, *map(float, row)))
+            assert sel.p_hat == int(p)
+            assert sel.p_real == (float(x) if np.isfinite(x) else None)
+
+    def test_rows_reach_every_candidate(self):
+        m = 1000
+        rows = _holdout_rows(m, np.random.default_rng(m))
+        p_hat, _, _ = _stacked_holdout(MseCoefficients(m, *rows.T))
+        assert {1.0, m - 1.0} <= set(p_hat.tolist())
+        assert np.any((p_hat > 1) & (p_hat < m - 1))
+
+    @pytest.mark.parametrize("m", [50, 1000, 100_000])
+    def test_first_nan_wins(self, m):
+        row = _first_nan_row(m)
+        coeffs = MseCoefficients(m, *np.array([row]).T)
+        p_hat, mse, _ = _stacked_holdout(coeffs)
+        assert p_hat[0] == m - 1 and np.isnan(mse[0])
+        assert _holdout(coeffs)[0][0] == m - 1
+        assert select_p(MseCoefficients(m, *row)).p_hat == m - 1
 
 
 class TestAsymptoticBehaviour:

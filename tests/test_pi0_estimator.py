@@ -211,6 +211,108 @@ class TestEstimateProperties:
         assert 3 <= est.n_hat <= 5
 
 
+def _lexsort_selection(tab, risk, mse_at_p, se_band):
+    """Index of the selected partition by a lexsort over the whole family.
+
+    This is the selection as first written, kept as the oracle for
+    ``estimate_pi0``, which sorts only the tie set at the minimum and the band.
+    """
+    risk = np.where(np.isfinite(risk), risk, np.inf)
+    order = np.lexsort((-tab.K, -tab.W, tab.D, tab.N, risk))
+    jmin = order[0]
+    if se_band == 0.0:
+        return jmin
+    se = float(np.sqrt(max(mse_at_p[jmin], 0.0)))
+    if not np.isfinite(se):
+        se = 0.0
+    sel = np.nonzero(risk <= risk[jmin] + se_band * se)[0]
+    return sel[np.lexsort((-tab.K[sel], -tab.W[sel], tab.D[sel], tab.N[sel]))[0]]
+
+
+def _selection_samples():
+    rng = np.random.default_rng(61)
+    mixture = np.where(rng.random(1000) < 0.8, rng.random(1000), rng.beta(1, 20, 1000))
+    return {
+        "uniform": rng.random(500),
+        "mixture": mixture,
+        "rounded1": np.round(mixture, 1),
+        "rounded2": np.round(mixture, 2),
+        "constant": np.full(50, 0.5),
+        "zeros_ones": np.repeat([0.0, 1.0], 10),
+        "m2": rng.random(2),
+        "m3": rng.random(3),
+        "m3_tied": np.array([0.25, 0.25, 0.75]),
+    }
+
+
+class TestSelectionOracle:
+    def _check(self, sample, method, se_band, scan):
+        from pi0cv.pi0_estimator import _tables
+
+        tab = _tables(1, 100)
+        cc, phat, risk, mse_at_p = scan(sample, tab, method == "lpo")
+        j = _lexsort_selection(tab, risk, mse_at_p, se_band)
+        est = estimate_pi0(sample, EstimatorConfig(method=method, se_band=se_band))
+        assert (est.n_hat, est.lambda_hat, est.mu_hat) == (tab.N[j], tab.lam[j], tab.mu[j])
+        assert est.p_hat == int(phat[j])
+        assert est.risk == float(risk[j])
+        assert est.pi0_raw == cc[j] / (sample.m * tab.W[j])
+
+    @pytest.mark.parametrize("se_band", [0.0, 0.25])
+    @pytest.mark.parametrize("method", ["lpo", "loo"])
+    @pytest.mark.parametrize("name", sorted(_selection_samples()))
+    def test_matches_full_lexsort(self, name, method, se_band):
+        from pi0cv.pi0_estimator import _scan
+
+        self._check(load_sample(_selection_samples()[name]), method, se_band, _scan)
+
+    @pytest.mark.parametrize("se_band", [0.0, 0.25])
+    def test_non_finite_risks_are_ignored(self, monkeypatch, se_band):
+        import pi0cv.pi0_estimator as mod
+
+        real_scan = mod._scan
+
+        def scan_with_holes(sample, tab, adaptive_p):
+            # spoil the true argmin and a spread of other partitions
+            cc, phat, risk, mse_at_p = real_scan(sample, tab, adaptive_p)
+            risk = risk.copy()
+            best = np.argsort(risk, kind="stable")[:3]
+            risk[best] = [np.nan, -np.inf, np.inf]
+            risk[::7] = np.nan
+            risk[3::11] = -np.inf
+            risk[5::13] = np.inf
+            return cc, phat, risk, mse_at_p
+
+        monkeypatch.setattr(mod, "_scan", scan_with_holes)
+        rng = np.random.default_rng(62)
+        sample = load_sample(np.where(rng.random(1000) < 0.7, rng.random(1000),
+                                      rng.beta(1, 10, 1000)))
+        for method in ("lpo", "loo"):
+            self._check(sample, method, se_band, scan_with_holes)
+            est = estimate_pi0(sample, EstimatorConfig(method=method, se_band=se_band))
+            assert np.isfinite(est.risk)
+
+    def test_sorts_only_the_tie_set_and_the_band(self, monkeypatch):
+        from pi0cv.pi0_estimator import _tables
+
+        sorted_sizes = []
+        real_lexsort = np.lexsort
+
+        def counting_lexsort(keys, *args, **kwargs):
+            sorted_sizes.append(len(keys[0]))
+            return real_lexsort(keys, *args, **kwargs)
+
+        monkeypatch.setattr(np, "lexsort", counting_lexsort)
+        rng = np.random.default_rng(63)
+        sample = load_sample(rng.random(1000))
+        family = _tables(1, 100).N.size
+        for se_band in (0.0, 0.25):
+            sorted_sizes.clear()
+            estimate_pi0(sample, EstimatorConfig(se_band=se_band))
+            assert sorted_sizes
+            assert max(sorted_sizes) < family
+
+
 class TestSsEstimator:
     def test_lambda_zero_reads_one(self):
         sample = load_sample([0.2, 0.4, 0.9])
