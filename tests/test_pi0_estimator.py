@@ -257,6 +257,7 @@ class TestSelectionOracle:
         assert est.p_hat == int(phat[j])
         assert est.risk == float(risk[j])
         assert est.pi0_raw == cc[j] / (sample.m * tab.W[j])
+        return est
 
     @pytest.mark.parametrize("se_band", [0.0, 0.25])
     @pytest.mark.parametrize("method", ["lpo", "loo"])
@@ -288,8 +289,7 @@ class TestSelectionOracle:
         sample = load_sample(np.where(rng.random(1000) < 0.7, rng.random(1000),
                                       rng.beta(1, 10, 1000)))
         for method in ("lpo", "loo"):
-            self._check(sample, method, se_band, scan_with_holes)
-            est = estimate_pi0(sample, EstimatorConfig(method=method, se_band=se_band))
+            est = self._check(sample, method, se_band, scan_with_holes)
             assert np.isfinite(est.risk)
 
     def test_sorts_only_the_tie_set_and_the_band(self, monkeypatch):
