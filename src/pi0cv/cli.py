@@ -21,6 +21,7 @@ from . import sim_harness
 from .errors import (
     InputError,
     InvalidAlpha,
+    InvalidDelta,
     InvalidLambda,
     InvalidRange,
     InvalidTheta,
@@ -28,7 +29,7 @@ from .errors import (
 from .histogram_core import PartitionSpec, enumerate_partitions, load_sample, read_pvalue_file
 from .jsonio import dumps17
 from .lpo_risk import partition_diagnostics
-from .mtp import plugin_mtp, rejected_mask
+from .mtp import check_delta, plugin_mtp, rejected_mask
 from .pi0_estimator import EstimatorConfig, estimate_json_dict, estimate_pi0
 from .sim_harness import parse_scenario_file, run_scenario
 
@@ -81,11 +82,13 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_mtp(args) -> int:
+    # flags first, so a bad one is reported before a large input is parsed
+    check_delta(args.delta)
+    if args.pi0 is not None and not 0.0 < args.pi0 <= 1.0:
+        raise InvalidTheta(f"--pi0 must lie in (0, 1], got {args.pi0}")
     raw, sample = _load_input(args)
     if args.pi0 is not None:
         pi0 = args.pi0
-        if not 0.0 < pi0 <= 1.0:
-            raise InvalidTheta(f"--pi0 must lie in (0, 1], got {pi0}")
     else:
         est = estimate_pi0(sample, _estimator_config(args))
         if est.degenerate:
@@ -140,6 +143,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_risk_debug(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise InvalidRange(f"--limit must be >= 0, got {args.limit}")
     _, sample = _load_input(args)
     lines = []
     if args.all:
@@ -230,7 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidAlpha, InvalidTheta, InvalidLambda, InvalidRange) as exc:
+    except (InvalidAlpha, InvalidTheta, InvalidDelta, InvalidLambda, InvalidRange) as exc:
         sys.stderr.write(dumps17({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return EXIT_USAGE
     except InputError as exc:

@@ -62,5 +62,9 @@ class InvalidTheta(InputError):
     pass
 
 
+class InvalidDelta(InputError):
+    pass
+
+
 class LengthMismatch(Pi0cvError, ValueError):
     pass

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidAlpha, InvalidTheta, LengthMismatch
+from .errors import InvalidAlpha, InvalidDelta, InvalidTheta, LengthMismatch
 from .histogram_core import PValueSample
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "ecdf",
     "threshold",
     "plugin_mtp",
+    "check_delta",
     "bh_procedure",
     "error_metrics",
     "rejected_mask",
@@ -71,6 +72,12 @@ def _validate(alpha: float, theta: float):
         raise InvalidTheta(f"theta must lie in (0, 1], got {theta}")
 
 
+def check_delta(delta: float) -> None:
+    """Reject a theta margin that is negative or NaN."""
+    if not delta >= 0.0:
+        raise InvalidDelta(f"delta must be >= 0, got {delta}")
+
+
 def _step_up(sample: PValueSample, alpha: float, theta: float, delta: float) -> MtpResult:
     _validate(alpha, theta)
     p = sample.values
@@ -102,8 +109,7 @@ def plugin_mtp(sample: PValueSample, alpha: float, pi0, delta: float = 0.0) -> M
     ``pi0`` may be a Pi0Estimate (its clamped ``pi0`` field is used) or a
     plain float, e.g. the true proportion for an oracle run.
     """
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    check_delta(delta)
     value = getattr(pi0, "pi0", pi0)
     theta = min(1.0, float(value) + delta)
     return _step_up(sample, alpha, theta, delta)

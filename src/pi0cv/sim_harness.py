@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .histogram_core import PValueSample
 from .jsonio import dumps17
-from .mtp import bh_procedure, error_metrics, plugin_mtp
+from .mtp import bh_procedure, check_delta, error_metrics, plugin_mtp
 from .pi0_estimator import EstimatorConfig, estimate_pi0
 
 __all__ = [
@@ -194,8 +194,10 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS, alpha: float = 0.1
     Each replicate draws a sample, runs every pi0 method, then the plug-in
     procedure per method plus the theta=1 baseline ('bh') and the oracle run
     with the true pi0 ('oracle').  A replicate whose estimation fails is kept,
-    marked failed, and invalidates the table.
+    marked failed, and invalidates the table.  A ``delta`` that is negative
+    or NaN raises InvalidDelta before any replicate runs.
     """
+    check_delta(delta)
     methods = list(methods)
     replicates: list[ReplicateResult] = []
     for rep in range(spec.reps):

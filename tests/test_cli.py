@@ -156,6 +156,20 @@ class TestMtpCommand:
         code = main(["mtp", "--input", fixture_file, "--alpha", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--delta", "-0.1"], ["--delta", "nan"],
+                                      ["--pi0", "1.5"], ["--pi0", "0"]],
+                             ids=["delta_negative", "delta_nan", "pi0_above_one", "pi0_zero"])
+    def test_bad_flag_is_usage_error_before_input_is_read(self, capsys, tmp_path,
+                                                          fixture_file, flag):
+        # a missing input would exit 3, so exit 2 shows the flag was checked first
+        for path in (fixture_file, str(tmp_path / "nope.txt")):
+            code = main(["mtp", "--input", path, *flag])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            error = json.loads(captured.err)
+            assert error["error"] == ("InvalidDelta" if flag[0] == "--delta" else "InvalidTheta")
+
     def test_estimates_when_no_override(self, capsys, uniform_file):
         code, payload = run_json(capsys, ["mtp", "--input", uniform_file,
                                           "--method", "storey"])
@@ -197,6 +211,19 @@ class TestSimulateCommand:
         assert code == 3
         assert "beta_tail" in err and "ushape" in err
 
+    def test_negative_delta_is_usage_error(self, capsys, monkeypatch):
+        import pi0cv.sim_harness as sim
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "draw_sample", no_replicates)
+        code = main(self.ARGS + ["--delta", "-0.5"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "InvalidDelta"
+
     def test_unknown_kind_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--kind", "quantile", "--m", "60", "--reps", "1"])
@@ -217,6 +244,18 @@ class TestRiskDebugCommand:
         assert code == 0
         assert len(out) == 10
         assert all(json.loads(line)["N"] >= 1 for line in out)
+
+    def test_negative_limit_is_usage_error(self, capsys, fixture_file):
+        code = main(["risk-debug", "--input", fixture_file, "--all", "--limit", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "InvalidRange"
+
+    def test_limit_zero_prints_one_empty_line(self, capsys, fixture_file):
+        code = main(["risk-debug", "--input", fixture_file, "--all", "--limit", "0"])
+        assert code == 0
+        assert capsys.readouterr().out == "\n"
 
     def test_fixture_dump_consistent_with_library(self, tmp_path, capsys):
         # counts (3, 1) on halves at m=4; closed form gives -2/3 at p=1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pi0cv.errors import InvalidAlpha, InvalidTheta, LengthMismatch
+from pi0cv.errors import InvalidAlpha, InvalidDelta, InvalidTheta, LengthMismatch
 from pi0cv.histogram_core import load_sample
 from pi0cv.mtp import (
     MtpResult,
@@ -107,8 +107,9 @@ class TestPluginMtp:
 
     def test_negative_delta_rejected(self):
         s = load_sample(FIXTURE)
-        with pytest.raises(ValueError):
-            plugin_mtp(s, 0.15, 0.5, delta=-0.1)
+        for delta in (-0.1, float("nan")):
+            with pytest.raises(InvalidDelta):
+                plugin_mtp(s, 0.15, 0.5, delta=delta)
 
 
 class TestBhEdges:

@@ -313,6 +313,128 @@ class TestSelectionOracle:
             assert max(sorted_sizes) < family
 
 
+def _unblocked_scan(sample, tab, adaptive_p):
+    """``_scan`` as it was before the family was split into blocks: every
+    temporary spans the whole family.  Kept as the oracle for the blocked
+    scan, which must return the same bits."""
+    from pi0cv.lpo_risk import _holdout, _mse_polynomial, _risk_from_sums, selection_mse
+
+    values = sample.values
+    m = sample.m
+    cum = np.empty(tab.cum_len)
+    pref1 = np.empty(tab.cum_len)
+    pref2 = np.empty(tab.cum_len)
+    pref3 = np.empty(tab.cum_len)
+    for n in tab.grid:
+        off = tab.offsets[n]
+        edges = np.arange(n + 1) / n
+        c = np.searchsorted(values, edges, side="left").astype(float)
+        c[-1] = m
+        cum[off:off + n + 1] = c
+        ac = np.diff(c) / m
+        pref1[off] = pref2[off] = pref3[off] = 0.0
+        np.cumsum(ac, out=pref1[off + 1:off + n + 1])
+        np.cumsum(ac * ac, out=pref2[off + 1:off + n + 1])
+        np.cumsum(ac * ac * ac, out=pref3[off + 1:off + n + 1])
+
+    cc = cum[tab.idx_l] - cum[tab.idx_k]
+    ac = cc / m
+    ac2 = ac * ac
+    wc, nf = tab.W, tab.Nf
+    wc2, n2 = wc * wc, nf * nf
+    tmp = np.empty_like(ac)
+
+    def outer(pref):
+        out = pref[tab.idx_k]
+        out += pref[tab.idx_n]
+        out -= pref[tab.idx_l]
+        return out
+
+    s11 = outer(pref1)
+    s21 = outer(pref2)
+    s12 = s11 * n2
+    s12 += np.divide(ac, wc2, out=tmp)
+    s22 = s21 * n2
+    s22 += np.divide(ac2, wc2, out=tmp)
+    s11 *= nf
+    s11 += np.divide(ac, wc, out=tmp)
+    s21 *= nf
+    s21 += np.divide(ac2, wc, out=tmp)
+    s32 = outer(pref3)
+    s32 *= n2
+    s32 += np.divide(np.power(ac, 3, out=tmp), wc2, out=tmp)
+
+    coeffs = _mse_polynomial(m, s11, s21, s12, s22, s32)
+    if adaptive_p:
+        phat, mse_at_p, _ = _holdout(coeffs)
+    else:
+        phat, mse_at_p = np.ones_like(s11), selection_mse(coeffs, 1.0)
+    return cc, phat, _risk_from_sums(s11, s21, m, phat), mse_at_p
+
+
+def _first_partitions(tab, size):
+    """A copy of ``tab`` whose family is cut to its first ``size`` partitions."""
+    import copy
+
+    cut = copy.copy(tab)
+    for name in ("N", "K", "L", "idx_k", "idx_l", "idx_n", "Nf", "W", "D", "lam", "mu"):
+        setattr(cut, name, getattr(tab, name)[:size])
+    return cut
+
+
+def _family(which):
+    from pi0cv.pi0_estimator import _BLOCK, _tables
+
+    if which == "one_block":
+        return _first_partitions(_tables(1, 100), _BLOCK)
+    if which == "one_block_plus_one":
+        return _first_partitions(_tables(1, 100), _BLOCK + 1)
+    return _tables(*which)
+
+
+class TestBlockedScan:
+    @pytest.mark.parametrize("adaptive_p", [True, False], ids=["lpo", "loo"])
+    @pytest.mark.parametrize("family", [(1, 1), (1, 5), "one_block", "one_block_plus_one",
+                                        (1, 100)], ids=str)
+    def test_bit_identical_to_unblocked_scan(self, family, adaptive_p):
+        from pi0cv.pi0_estimator import _BLOCK, _scan
+
+        tab = _family(family)
+        if family == "one_block":
+            assert tab.N.size == _BLOCK
+        rng = np.random.default_rng(64)
+        samples = dict(_selection_samples(), m100000=rng.random(100_000) ** 1.5)
+        for name, raw in samples.items():
+            sample = load_sample(raw)
+            got = _scan(sample, tab, adaptive_p)
+            want = _unblocked_scan(sample, tab, adaptive_p)
+            assert len(got) == 4
+            for field, g, w in zip(("cc", "phat", "risk", "mse_at_p"), got, want):
+                assert g.shape == w.shape == (tab.N.size,), (name, field)
+                # same bits, which also makes NaN equal NaN
+                np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64),
+                                              err_msg=f"{name}: {field}")
+
+    @pytest.mark.parametrize("method", ["lpo", "loo"])
+    def test_peak_memory_below_eight_family_arrays(self, method):
+        import tracemalloc
+
+        from pi0cv.pi0_estimator import _tables
+
+        rng = np.random.default_rng(65)
+        sample = load_sample(rng.random(1000))
+        cfg = EstimatorConfig(method=method)
+        estimate_pi0(sample, cfg)           # builds the search tables once
+        family_array = _tables(1, 100).N.size * 8
+        tracemalloc.start()
+        try:
+            estimate_pi0(sample, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * family_array, f"peak {peak / family_array:.1f} family arrays"
+
+
 class TestSsEstimator:
     def test_lambda_zero_reads_one(self):
         sample = load_sample([0.2, 0.4, 0.9])
