@@ -67,9 +67,11 @@ def cases() -> dict[str, list[str]]:
     out["mtp_m1000"] = ["mtp", "--input", "{m1000}", "--alpha", "0.15"]
     out["simulate_beta_tail"] = ["simulate", "--kind", "beta_tail", "--pi0", "0.5",
                                  "--s", "10", "--m", "1000", "--reps", "2", "--seed", "14"]
-    for name in ("m20_narrow", "m1000"):
+    for name in ("m20_narrow", "m1000", "m50_half", "m3"):
         out[f"risk_debug_all_{name}"] = ["risk-debug", "--input", f"{{{name}}}",
                                          "--all", "--nmax", "10"]
+    out["risk_debug_m1000_N10_k2_l7"] = ["risk-debug", "--input", "{m1000}",
+                                         "--N", "10", "--k", "2", "--l", "7"]
     return out
 
 
