@@ -14,6 +14,7 @@ degeneracy in the estimator.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -26,10 +27,10 @@ from .errors import (
     InvalidRange,
     InvalidTheta,
 )
-from .histogram_core import PartitionSpec, enumerate_partitions, load_sample, read_pvalue_file
+from .histogram_core import PartitionSpec, load_sample, partition_count, read_pvalue_file
 from .jsonio import dumps17
-from .lpo_risk import partition_diagnostics
-from .mtp import check_delta, plugin_mtp, rejected_mask
+from .lpo_risk import grid_diagnostics, partition_diagnostics
+from .mtp import _check_alpha, check_delta, plugin_mtp, rejected_mask
 from .pi0_estimator import EstimatorConfig, estimate_json_dict, estimate_pi0
 from .sim_harness import parse_scenario_file, run_scenario
 
@@ -83,6 +84,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_mtp(args) -> int:
     # flags first, so a bad one is reported before a large input is parsed
+    _check_alpha(args.alpha)
     check_delta(args.delta)
     if args.pi0 is not None and not 0.0 < args.pi0 <= 1.0:
         raise InvalidTheta(f"--pi0 must lie in (0, 1], got {args.pi0}")
@@ -146,20 +148,16 @@ def cmd_risk_debug(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise InvalidRange(f"--limit must be >= 0, got {args.limit}")
     _, sample = _load_input(args)
-    lines = []
     if args.all:
-        count = 0
-        for spec in enumerate_partitions(args.nmin, args.nmax):
-            if args.limit is not None and count >= args.limit:
-                break
-            lines.append(dumps17(partition_diagnostics(sample, spec)))
-            count += 1
+        partition_count(args.nmin, args.nmax)   # rejects an invalid grid range
+        # grids are scored whole, and only until the limit is reached
+        records = itertools.islice(itertools.chain.from_iterable(
+            grid_diagnostics(sample, n) for n in range(args.nmin, args.nmax + 1)), args.limit)
     else:
         if args.N is None or args.k is None or args.l is None:
             raise InputError("risk-debug needs --N, --k and --l, or --all")
-        spec = PartitionSpec(args.N, args.k, args.l)
-        lines.append(dumps17(partition_diagnostics(sample, spec)))
-    _write("\n".join(lines) + "\n", args.output)
+        records = [partition_diagnostics(sample, PartitionSpec(args.N, args.k, args.l))]
+    _write("\n".join(dumps17(rec) for rec in records) + "\n", args.output)
     return EXIT_OK
 
 

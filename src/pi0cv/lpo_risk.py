@@ -30,9 +30,11 @@ ceil(x*) (the last two clipped to [1, m-1], and 1 when x* is not a minimum),
 and ``select_p`` takes the first candidate of least selection MSE in that
 order.  The selection MSE clamps the variance at 0, which the exact
 coefficients never need on [1, m-1].  The MSE polynomial, the holdout rule,
-the selection MSE and the risk are each written once here; they take floats
-for one partition or equal-shaped arrays for the whole family, which is how
-``pi0_estimator._scan`` calls them.
+the selection MSE and the risk are each written once here, for floats or
+arrays.  ``_score`` alone turns grid prefix sums into per-partition values;
+``pi0_estimator._scan`` calls it per block of the family, and risk-debug's
+``grid_diagnostics`` per grid.  The fsum chain (``moment_sums`` through
+``lpo_risk``) scores one partition from its counts, as a test reference.
 
 A second coefficient encoding (``phi_coefficients``, fields phi0..phi3) is
 kept because the risk-debug interface reports it for cross-implementation
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidP, PoleAtM, TooLargeForOracle
-from .histogram_core import BinCounts, PartitionSpec, PValueSample, grid_prefix, bin_counts
+from .histogram_core import BinCounts, PartitionSpec, PValueSample, grid_prefix
 
 __all__ = [
     "MomentSums",
@@ -72,6 +74,7 @@ __all__ = [
     "select_p",
     "evaluate_partition",
     "partition_diagnostics",
+    "grid_diagnostics",
 ]
 
 ORACLE_MAX_M = 12
@@ -237,8 +240,11 @@ def bias_hat(ms: MomentSums, m: int, p: int) -> float:
 
 def phi_coefficients(ms: MomentSums, m: int) -> PhiCoefficients:
     """Diagnostic (phi0..phi3) coefficient set; see class docstring."""
-    s11, s21 = ms.s11, ms.s21
-    s12, s22, s32 = ms.s12, ms.s22, ms.s32
+    return _phi_polynomial(m, ms.s11, ms.s21, ms.s12, ms.s22, ms.s32)
+
+
+def _phi_polynomial(m: int, s11, s21, s12, s22, s32) -> PhiCoefficients:
+    """The phi encoding from the moment sums, floats or equal-shaped arrays."""
     phi3 = (m - 1) ** 2 * (s11 - s21) ** 2
     phi2 = 2 * m * (m - 1) * ((m - 2) * (s21 + s11 - s32) - m * s22
                               - (2 * m - 3) * s21 ** 2)
@@ -410,31 +416,81 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def evaluate_partition(sample: PValueSample, spec: PartitionSpec,
-                       fix_p: int | None = None) -> RiskEvaluation:
-    """Score one partition: plug-in moments, holdout choice, risk at p_hat."""
-    counts = bin_counts(grid_prefix(sample, spec.n), spec)
-    ms = moment_sums(counts, spec)
-    if fix_p is not None:
-        p_hat, p_real = _check_p(sample.m, fix_p), None
+def _grid_sums(cum, m: int, out) -> None:
+    """Fill ``out`` with one grid's cumulative counts ``cum`` (as floats) and
+    the prefix sums of its cell masses, their squares and their cubes."""
+    out[0][:] = cum
+    ac = np.diff(cum) / m
+    for pref, power in zip(out[1:], (ac, ac * ac, ac * ac * ac)):
+        pref[0] = 0.0
+        np.cumsum(power, out=pref[1:])
+
+
+def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
+    """Score partitions from the arrays ``_grid_sums`` fills, for one grid or
+    several laid end to end; the search and risk-debug both call this.
+
+    Partition j's central cell runs from entry ik[j] to il[j] of its grid,
+    whose last entry is iend[j]; nf[j] is its N and wc[j] its central width.
+    Returns the central counts, (s11, s21, s31, s12, s22, s32), p_hat, its
+    selection MSE, x* and the risk; without ``adaptive_p``, p_hat is 1.
+    """
+    cum, pref1, pref2, pref3 = sums
+    cc = cum.take(il) - cum.take(ik)    # take: indexing's values, in less time
+    ac = cc / m
+    n2, wc2 = nf * nf, wc * wc
+    tmp = np.empty_like(ac)
+    # s_ij = outer_i N^j + ac^i / wc^j, outer_i summing over the cells of
+    # width 1/N outside the central one; partly in place, in that order
+    moments = []
+    for pref, power in ((pref1, ac), (pref2, ac * ac), (pref3, np.power(ac, 3))):
+        out = pref.take(ik)
+        out += pref.take(iend)
+        out -= pref.take(il)
+        si1 = out * nf
+        si1 += np.divide(power, wc, out=tmp)
+        out *= n2
+        out += np.divide(power, wc2, out=tmp)
+        moments += [si1, out]
+    s11, s12, s21, s22, s31, s32 = moments
+
+    coeffs = _mse_polynomial(m, s11, s21, s12, s22, s32)
+    if adaptive_p:
+        p, mse, xstar = _holdout(coeffs)
     else:
-        sel = select_p(mse_coefficients(ms, sample.m))
-        p_hat, p_real = sel.p_hat, sel.p_real
-    risk = _risk_from_sums(ms.s11, ms.s21, sample.m, p_hat)
-    return RiskEvaluation(spec=spec, p_hat=p_hat, risk=risk, p_real=p_real)
+        p, mse, xstar = 1.0, selection_mse(coeffs, 1.0), None
+    risk = _risk_from_sums(s11, s21, m, p)
+    return cc, (s11, s21, s31, s12, s22, s32), p, mse, xstar, risk
+
+
+def grid_diagnostics(sample: PValueSample, n: int) -> list[dict]:
+    """Risk-debug records of every partition (n, k, l) of grid n, in
+    ``enumerate_partitions`` order, holding the values the search ranks."""
+    m = sample.m
+    k, l = np.triu_indices(n + 1, k=1)
+    sums = [np.empty(n + 1) for _ in range(4)]
+    _grid_sums(grid_prefix(sample, n).cum, m, sums)
+    _, s, p, _, xstar, risk = _score(m, sums, k, l, n, float(n), (l - k) / n, adaptive_p=True)
+    s11, s21, s31, s12, s22, s32 = s
+    phi = _phi_polynomial(m, s11, s21, s12, s22, s32)
+    columns = {
+        "N": np.full(k.size, n), "k": k, "l": l,
+        "s11": s11, "s21": s21, "s31": s31, "s12": s12, "s22": s22, "s32": s32,
+        "phi0": phi.phi0, "phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3,
+        "p_hat": p.astype(np.int64), "p_real": np.where(np.isfinite(xstar), xstar, None),
+        "risk": risk,
+    }
+    return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
 def partition_diagnostics(sample: PValueSample, spec: PartitionSpec) -> dict:
-    """Full per-partition record for the risk-debug interface."""
-    counts = bin_counts(grid_prefix(sample, spec.n), spec)
-    ms = moment_sums(counts, spec)
-    phi = phi_coefficients(ms, sample.m)
-    sel = select_p(mse_coefficients(ms, sample.m))
-    risk = _risk_from_sums(ms.s11, ms.s21, sample.m, sel.p_hat)
-    return {
-        "N": spec.n, "k": spec.k, "l": spec.l,
-        "s11": ms.s11, "s21": ms.s21, "s31": ms.s31,
-        "s12": ms.s12, "s22": ms.s22, "s32": ms.s32,
-        "phi0": phi.phi0, "phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3,
-        "p_hat": sel.p_hat, "p_real": sel.p_real, "risk": risk,
-    }
+    """Full per-partition record for the risk-debug interface: its row of
+    ``grid_diagnostics``."""
+    n, k = spec.n, spec.k
+    return grid_diagnostics(sample, n)[k * (2 * n + 1 - k) // 2 + spec.l - k - 1]
+
+
+def evaluate_partition(sample: PValueSample, spec: PartitionSpec) -> RiskEvaluation:
+    """Score one partition as the search does: holdout choice, risk at p_hat."""
+    rec = partition_diagnostics(sample, spec)
+    return RiskEvaluation(spec=spec, p_hat=rec["p_hat"], risk=rec["risk"], p_real=rec["p_real"])

@@ -65,11 +65,10 @@ def ecdf(sample: PValueSample, t: float) -> float:
     return int(np.searchsorted(sample.values, t, side="right")) / sample.m
 
 
-def _validate(alpha: float, theta: float):
+def _check_alpha(alpha: float) -> None:
+    """Reject a level outside (0, 1), or NaN."""
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha}")
-    if not 0.0 < theta <= 1.0:
-        raise InvalidTheta(f"theta must lie in (0, 1], got {theta}")
 
 
 def check_delta(delta: float) -> None:
@@ -79,7 +78,9 @@ def check_delta(delta: float) -> None:
 
 
 def _step_up(sample: PValueSample, alpha: float, theta: float, delta: float) -> MtpResult:
-    _validate(alpha, theta)
+    _check_alpha(alpha)
+    if not 0.0 < theta <= 1.0:
+        raise InvalidTheta(f"theta must lie in (0, 1], got {theta}")
     p = sample.values
     m = sample.m
     cut = np.arange(1, m + 1) * (alpha / (m * theta))

@@ -19,13 +19,14 @@ never the whole family.
 
 The scan is vectorised in two stages.  Per grid N the cell counts and their
 power prefix sums cost O(m + N) once, after which every (k, l) pair costs
-O(1).  The per-partition stage (moment sums, MSE polynomial, holdout choice
-and risk) then runs over consecutive blocks of the family rather than over
-all of it at once: its ~18 temporaries are block-sized, so they stay in cache
-and the allocator recycles them between blocks and calls, where
-family-length temporaries would be returned to the system after each call
-and faulted in again on the next.  Every operation is elementwise, so the
-blocked scan returns the same bits as one pass over the whole family.
+O(1).  The per-partition stage (``lpo_risk._score``: moment sums, MSE
+polynomial, holdout choice and risk, as risk-debug reports them) then runs
+over consecutive blocks of the family rather than over all of it at once:
+its temporaries are block-sized, so they stay in cache and the allocator
+recycles them between blocks and calls, where family-length temporaries
+would be returned to the system after each call and faulted in again on the
+next.  Every operation is elementwise, so the blocked scan returns the same
+bits as one pass over the whole family.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidLambda, InvalidRange
 from .histogram_core import PartitionSpec, PValueSample
-from .lpo_risk import _holdout, _mse_polynomial, _risk_from_sums, selection_mse
+from .lpo_risk import _grid_sums, _score
 
 __all__ = [
     "EstimatorConfig",
@@ -139,63 +140,21 @@ def _tables(n_min: int, n_max: int) -> _SearchTables:
 
 def _scan(sample: PValueSample, tab: _SearchTables, adaptive_p: bool):
     """Vectorised risk scan; returns per-partition arrays."""
-    values = sample.values
     m = sample.m
-    cum = np.empty(tab.cum_len)
-    pref1 = np.empty(tab.cum_len)
-    pref2 = np.empty(tab.cum_len)
-    pref3 = np.empty(tab.cum_len)
+    sums = [np.empty(tab.cum_len) for _ in range(4)]
     for n, edges in zip(tab.grid, tab.edges):
         off = tab.offsets[n]
-        c = np.searchsorted(values, edges, side="left").astype(float)
+        c = np.searchsorted(sample.values, edges, side="left")
         c[-1] = m
-        cum[off:off + n + 1] = c
-        ac = np.diff(c) / m
-        pref1[off] = pref2[off] = pref3[off] = 0.0
-        np.cumsum(ac, out=pref1[off + 1:off + n + 1])
-        np.cumsum(ac * ac, out=pref2[off + 1:off + n + 1])
-        np.cumsum(ac * ac * ac, out=pref3[off + 1:off + n + 1])
-
-    def outer(pref, blk):
-        # sum over the cells outside the central one, each of width 1/N
-        out = pref[tab.idx_k[blk]]
-        out += pref[tab.idx_n[blk]]
-        out -= pref[tab.idx_l[blk]]
-        return out
+        _grid_sums(c, m, [a[off:off + n + 1] for a in sums])
 
     size = tab.N.size
     cc, phat, risk, mse_at_p = (np.empty(size) for _ in range(4))
     for lo in range(0, size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        ac = np.subtract(cum[tab.idx_l[blk]], cum[tab.idx_k[blk]], out=cc[blk]) / m
-        ac2 = ac * ac
-        wc, nf = tab.W[blk], tab.Nf[blk]
-        wc2, n2 = wc * wc, nf * nf
-        tmp = np.empty_like(ac)
-
-        # s_ij = outer(pref_i) N^j + ac^i / wc^j, computed in place but with
-        # the expression's operations in its order
-        s11 = outer(pref1, blk)
-        s21 = outer(pref2, blk)
-        s12 = s11 * n2
-        s12 += np.divide(ac, wc2, out=tmp)
-        s22 = s21 * n2
-        s22 += np.divide(ac2, wc2, out=tmp)
-        s11 *= nf
-        s11 += np.divide(ac, wc, out=tmp)
-        s21 *= nf
-        s21 += np.divide(ac2, wc, out=tmp)
-        s32 = outer(pref3, blk)
-        s32 *= n2
-        s32 += np.divide(np.power(ac, 3, out=tmp), wc2, out=tmp)
-
-        coeffs = _mse_polynomial(m, s11, s21, s12, s22, s32)
-        if adaptive_p:
-            p, mse_at_p[blk], _ = _holdout(coeffs)
-        else:
-            p, mse_at_p[blk] = 1.0, selection_mse(coeffs, 1.0)
-        phat[blk] = p
-        risk[blk] = _risk_from_sums(s11, s21, m, p)
+        cc[blk], _, phat[blk], mse_at_p[blk], _, risk[blk] = _score(
+            m, sums, tab.idx_k[blk], tab.idx_l[blk], tab.idx_n[blk],
+            tab.Nf[blk], tab.W[blk], adaptive_p)
     return cc, phat, risk, mse_at_p
 
 

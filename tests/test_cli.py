@@ -5,8 +5,9 @@ import pytest
 
 from pi0cv.cli import main
 from pi0cv.histogram_core import load_sample
-from pi0cv.lpo_risk import lpo_risk
-from pi0cv.histogram_core import BinCounts, PartitionSpec
+from pi0cv.jsonio import dumps17
+from pi0cv.lpo_risk import lpo_risk, partition_diagnostics
+from pi0cv.histogram_core import BinCounts, PartitionSpec, enumerate_partitions
 from pi0cv.pi0_estimator import ss_estimator
 
 FIXTURE = [0.01, 0.02, 0.5, 0.6, 0.9]
@@ -157,8 +158,10 @@ class TestMtpCommand:
         assert code == 2
 
     @pytest.mark.parametrize("flag", [["--delta", "-0.1"], ["--delta", "nan"],
-                                      ["--pi0", "1.5"], ["--pi0", "0"]],
-                             ids=["delta_negative", "delta_nan", "pi0_above_one", "pi0_zero"])
+                                      ["--pi0", "1.5"], ["--pi0", "0"],
+                                      ["--alpha", "0"], ["--alpha", "nan"]],
+                             ids=["delta_negative", "delta_nan", "pi0_above_one", "pi0_zero",
+                                  "alpha_zero", "alpha_nan"])
     def test_bad_flag_is_usage_error_before_input_is_read(self, capsys, tmp_path,
                                                           fixture_file, flag):
         # a missing input would exit 3, so exit 2 shows the flag was checked first
@@ -168,7 +171,8 @@ class TestMtpCommand:
             assert code == 2
             assert captured.out == ""
             error = json.loads(captured.err)
-            assert error["error"] == ("InvalidDelta" if flag[0] == "--delta" else "InvalidTheta")
+            assert error["error"] == {"--delta": "InvalidDelta", "--pi0": "InvalidTheta",
+                                      "--alpha": "InvalidAlpha"}[flag[0]]
 
     def test_estimates_when_no_override(self, capsys, uniform_file):
         code, payload = run_json(capsys, ["mtp", "--input", uniform_file,
@@ -224,6 +228,22 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "InvalidDelta"
 
+    def test_bad_alpha_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        import pi0cv.sim_harness as sim
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "draw_sample", no_replicates)
+        conf = tmp_path / "s.conf"
+        conf.write_text("kind = beta_tail\npi0 = 0.8\ns = 20\nm = 60\nreps = 1\nalpha = 1.5\n")
+        for argv in (self.ARGS + ["--alpha", "0"], ["simulate", "--scenario", str(conf)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"] == "InvalidAlpha"
+
     def test_unknown_kind_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--kind", "quantile", "--m", "60", "--reps", "1"])
@@ -270,6 +290,21 @@ class TestRiskDebugCommand:
         assert payload["risk"] == pytest.approx(
             lpo_risk(counts, spec, payload["p_hat"]), abs=1e-12)
         assert payload["s21"] == pytest.approx((0.75**2 + 0.25**2) / 0.5, abs=1e-15)
+
+    def test_all_lines_equal_partition_diagnostics(self, tmp_path, capsys):
+        # --all scores each grid whole; every line must equal the record of
+        # its own partition
+        from test_pi0_estimator import _selection_samples
+
+        for name, values in _selection_samples().items():
+            f = tmp_path / f"{name}.txt"
+            f.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+            code = main(["risk-debug", "--input", str(f), "--all", "--nmax", "12"])
+            lines = capsys.readouterr().out.splitlines()
+            sample = load_sample(values)
+            assert code == 0
+            assert lines == [dumps17(partition_diagnostics(sample, spec))
+                             for spec in enumerate_partitions(1, 12)]
 
     def test_requires_spec_or_all(self, capsys, fixture_file):
         code = main(["risk-debug", "--input", fixture_file])

@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 
 from pi0cv.errors import InvalidP, PoleAtM, TooLargeForOracle
-from pi0cv.histogram_core import BinCounts, PartitionSpec, bin_counts, grid_prefix, load_sample
+from pi0cv.histogram_core import (
+    BinCounts,
+    PartitionSpec,
+    bin_counts,
+    enumerate_partitions,
+    grid_prefix,
+    load_sample,
+)
 from pi0cv.lpo_risk import (
     MseCoefficients,
     _holdout,
     bias_hat,
     bias_variance_oracle,
     evaluate_partition,
+    grid_diagnostics,
     lpo_risk,
     lpo_risk_oracle,
     moment_sums,
@@ -473,13 +481,6 @@ class TestAsymptoticBehaviour:
 
 
 class TestEvaluatePartition:
-    def test_fixed_p(self):
-        spec = PartitionSpec(2, 0, 1)
-        sample = _sample_with_counts([3, 1], spec)
-        ev = evaluate_partition(sample, spec, fix_p=1)
-        assert ev.p_hat == 1
-        assert ev.risk == pytest.approx(-2 / 3, abs=1e-12)
-
     def test_adaptive_p_consistent_with_select_p(self):
         rng = np.random.default_rng(21)
         sample = load_sample(rng.random(40))
@@ -498,3 +499,18 @@ class TestEvaluatePartition:
                     "phi0", "phi1", "phi2", "phi3", "p_hat", "p_real", "risk"):
             assert key in rec
         assert rec["N"] == 3 and rec["k"] == 1 and rec["l"] == 3
+
+    def test_grid_records_carry_the_search_values_bit_for_bit(self):
+        from pi0cv.pi0_estimator import _scan, _tables
+
+        rng = np.random.default_rng(23)
+        sample = load_sample(np.where(rng.random(1000) < 0.8, rng.random(1000),
+                                      rng.beta(1, 20, 1000)))
+        _, phat, risk, _ = _scan(sample, _tables(1, 100), adaptive_p=True)
+        records = [rec for n in range(1, 101) for rec in grid_diagnostics(sample, n)]
+        assert [(r["N"], r["k"], r["l"]) for r in records] == \
+               [(spec.n, spec.k, spec.l) for spec in enumerate_partitions(1, 100)]
+        assert np.array_equal(np.array([r["p_hat"] for r in records], dtype=float), phat)
+        # compared as integers, so NaN payloads and signed zeros count
+        assert np.array_equal(np.array([r["risk"] for r in records]).view(np.int64),
+                              risk.view(np.int64))

@@ -3,7 +3,7 @@ import pytest
 
 from pi0cv.errors import InvalidLambda, InvalidRange
 from pi0cv.histogram_core import PartitionSpec, bin_counts, grid_prefix, histogram_heights, load_sample
-from pi0cv.lpo_risk import evaluate_partition
+from pi0cv.lpo_risk import lpo_risk, moment_sums, mse_coefficients, select_p
 from pi0cv.pi0_estimator import (
     EstimatorConfig,
     consistency_probe,
@@ -13,6 +13,16 @@ from pi0cv.pi0_estimator import (
     storey_estimator,
 )
 from pi0cv.sim_harness import ScenarioSpec, replicate_rng, sample_trunc_beta
+
+
+def _fsum_risk(sample, spec, p=None):
+    """Risk of one partition through the fsum moment-sum chain, an
+    implementation independent of the search's prefix sums; at p, or at the
+    holdout ``select_p`` picks."""
+    counts = bin_counts(grid_prefix(sample, spec.n), spec)
+    if p is None:
+        p = select_p(mse_coefficients(moment_sums(counts, spec), sample.m)).p_hat
+    return lpo_risk(counts, spec, p)
 
 
 class TestEstimateFixtures:
@@ -37,7 +47,7 @@ class TestEstimateFixtures:
         scored = {}
         for spec in [PartitionSpec(1, 0, 1), PartitionSpec(2, 0, 1),
                      PartitionSpec(2, 0, 2), PartitionSpec(2, 1, 2)]:
-            scored[(spec.n, spec.k, spec.l)] = evaluate_partition(sample, spec).risk
+            scored[(spec.n, spec.k, spec.l)] = _fsum_risk(sample, spec)
         assert scored[(1, 0, 1)] == -1.0
         assert scored[(2, 0, 2)] == -1.0
         assert scored[(2, 0, 1)] == -2.0
@@ -82,7 +92,7 @@ class TestEstimateProperties:
             m = int(rng.integers(20, 300))
             sample = load_sample(rng.random(m) ** float(rng.random() * 2 + 0.5))
             est = estimate_pi0(sample, EstimatorConfig(n_max=30))
-            single = evaluate_partition(sample, PartitionSpec(1, 0, 1)).risk
+            single = _fsum_risk(sample, PartitionSpec(1, 0, 1))
             assert est.risk <= single + 1e-12
             assert single == -1.0
 
@@ -90,7 +100,6 @@ class TestEstimateProperties:
         # when the adaptive holdout choice lands on 1 for the whole family,
         # the two methods score identical landscapes
         from pi0cv.histogram_core import enumerate_partitions
-        from pi0cv.lpo_risk import mse_coefficients, moment_sums, select_p
 
         rng = np.random.default_rng(44)
         checked = 0
@@ -113,20 +122,19 @@ class TestEstimateProperties:
         assert checked > 0
 
     def test_loo_scan_matches_scalar_scoring(self):
-        # the vectorised method=loo path reproduces per-partition fix_p=1
+        # the vectorised method=loo path reproduces per-partition p = 1
         # scores and the band selection applied to them
         from pi0cv.histogram_core import enumerate_partitions
-        from pi0cv.lpo_risk import mse_coefficients, moment_sums, selection_mse
+        from pi0cv.lpo_risk import selection_mse
 
         rng = np.random.default_rng(45)
         sample = load_sample(rng.random(80))
         n_max = 8
         rows = []
         for spec in enumerate_partitions(1, n_max):
-            ev = evaluate_partition(sample, spec, fix_p=1)
             counts = bin_counts(grid_prefix(sample, spec.n), spec)
             mc = mse_coefficients(moment_sums(counts, spec), sample.m)
-            rows.append((spec, ev.risk, float(selection_mse(mc, 1))))
+            rows.append((spec, _fsum_risk(sample, spec, 1), float(selection_mse(mc, 1))))
         risks = np.array([r for _, r, _ in rows])
         jmin = min(range(len(rows)),
                    key=lambda i: (risks[i], rows[i][0].n, rows[i][0].dimension,
@@ -169,7 +177,7 @@ class TestEstimateProperties:
         sample = load_sample(rng.random(100))
         est = estimate_pi0(sample, EstimatorConfig(n_max=15, se_band=0.0))
         # with no band the winner attains the global minimum over the family
-        best = min(evaluate_partition(sample, spec).risk
+        best = min(_fsum_risk(sample, spec)
                    for spec in __import__("pi0cv").enumerate_partitions(1, 15))
         assert est.risk == pytest.approx(best, abs=1e-9)
 
@@ -177,7 +185,7 @@ class TestEstimateProperties:
         # the fast path must agree with the contract operations partition by
         # partition: holdout choice, risk at that holdout, selection MSE
         from pi0cv.histogram_core import enumerate_partitions
-        from pi0cv.lpo_risk import lpo_risk, moment_sums, mse_coefficients, select_p, selection_mse
+        from pi0cv.lpo_risk import selection_mse
         from pi0cv.pi0_estimator import _scan, _tables
 
         rng = np.random.default_rng(48)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pi0cv.errors import InputError
+from pi0cv.errors import InputError, InvalidAlpha
 from pi0cv.sim_harness import (
     ScenarioSpec,
     draw_sample,
@@ -157,6 +157,17 @@ class TestRunScenario:
         assert set(table.procedures) == {"storey", "loo", "bh", "oracle"}
         assert set(table.methods) == {"storey", "loo"}
         assert table.valid
+
+    def test_bad_alpha_rejected_before_any_replicate(self, monkeypatch):
+        import pi0cv.sim_harness as mod
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(mod, "draw_sample", no_replicates)
+        for alpha in (0.0, 1.5, math.nan):
+            with pytest.raises(InvalidAlpha):
+                run_scenario(_tiny_spec(), methods=("storey",), alpha=alpha)
 
     def test_failed_replicate_flags_table(self, monkeypatch):
         import pi0cv.sim_harness as mod
