@@ -30,7 +30,7 @@ from .errors import (
 from .histogram_core import PartitionSpec, load_sample, partition_count, read_pvalue_file
 from .jsonio import dumps17
 from .lpo_risk import grid_diagnostics, partition_diagnostics
-from .mtp import _check_alpha, check_delta, plugin_mtp, rejected_mask
+from .mtp import check_alpha, check_delta, plugin_mtp, rejected_mask
 from .pi0_estimator import EstimatorConfig, estimate_json_dict, estimate_pi0
 from .sim_harness import parse_scenario_file, run_scenario
 
@@ -84,7 +84,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_mtp(args) -> int:
     # flags first, so a bad one is reported before a large input is parsed
-    _check_alpha(args.alpha)
+    check_alpha(args.alpha)
     check_delta(args.delta)
     if args.pi0 is not None and not 0.0 < args.pi0 <= 1.0:
         raise InvalidTheta(f"--pi0 must lie in (0, 1], got {args.pi0}")
@@ -150,7 +150,7 @@ def cmd_risk_debug(args) -> int:
     _, sample = _load_input(args)
     if args.all:
         partition_count(args.nmin, args.nmax)   # rejects an invalid grid range
-        # grids are scored whole, and only until the limit is reached
+        # records are scored a block at a time, and only until the limit
         records = itertools.islice(itertools.chain.from_iterable(
             grid_diagnostics(sample, n) for n in range(args.nmin, args.nmax + 1)), args.limit)
     else:

@@ -31,10 +31,9 @@ and ``select_p`` takes the first candidate of least selection MSE in that
 order.  The selection MSE clamps the variance at 0, which the exact
 coefficients never need on [1, m-1].  The MSE polynomial, the holdout rule,
 the selection MSE and the risk are each written once here, for floats or
-arrays.  ``_score`` alone turns grid prefix sums into per-partition values;
-``pi0_estimator._scan`` calls it per block of the family, and risk-debug's
-``grid_diagnostics`` per grid.  The fsum chain (``moment_sums`` through
-``lpo_risk``) scores one partition from its counts, as a test reference.
+arrays.  ``_score`` alone turns grid prefix sums into per-partition values,
+for ``pi0_estimator._scan`` and for risk-debug's records; the fsum chain
+(``moment_sums`` through ``lpo_risk``) scores one partition, as a reference.
 
 A second coefficient encoding (``phi_coefficients``, fields phi0..phi3) is
 kept because the risk-debug interface reports it for cross-implementation
@@ -48,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -317,13 +317,6 @@ def selection_mse(coeffs, p) -> float | np.ndarray:
     return out
 
 
-def _where(cond, a, b):
-    """np.where, without its cost of microseconds on one partition's scalars."""
-    if isinstance(cond, np.ndarray):
-        return np.where(cond, a, b)
-    return a if cond else b
-
-
 def _holdout(coeffs):
     """(p_hat, its selection MSE, x*): p_hat is the first of 1, m-1, floor(x*),
     ceil(x*) of least selection MSE.
@@ -338,8 +331,8 @@ def _holdout(coeffs):
         xstar = np.divide(-(m * v1 + 2 * v0), lin)
     # clipping to the integer ends commutes with floor and ceil; a critical
     # point that is no minimum, or not finite, yields candidate 1
-    x = _where(np.isfinite(xstar) & (lin > 0),
-               np.minimum(np.maximum(xstar, 1.0), m - 1.0), 1.0)
+    x = np.where(np.isfinite(xstar) & (lin > 0),
+                 np.minimum(np.maximum(xstar, 1.0), m - 1.0), 1.0)
     del lin     # one family-length array fewer while the candidates are scored
     p_hat, best = 1.0, selection_mse(coeffs, 1.0)
     for cand in (m - 1.0, np.floor(x), np.ceil(x)):
@@ -347,8 +340,8 @@ def _holdout(coeffs):
         # np.argmin's rule over the candidates in order: a smaller MSE wins,
         # and so does the first NaN
         take = (mse < best) | ((mse != mse) & (best == best))
-        p_hat = _where(take, cand, p_hat)
-        best = _where(take, mse, best)
+        p_hat = np.where(take, cand, p_hat)
+        best = np.where(take, mse, best)
     return p_hat, best, xstar
 
 
@@ -416,23 +409,24 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _grid_sums(cum, m: int, out) -> None:
-    """Fill ``out`` with one grid's cumulative counts ``cum`` (as floats) and
-    the prefix sums of its cell masses, their squares and their cubes."""
+def _grid_sums(cum, m: int, out=None):
+    """Fill and return ``out`` (four new arrays by default): one grid's counts
+    ``cum`` and the prefix sums of its cell masses, their squares and cubes."""
+    out = out or [np.empty(len(cum)) for _ in range(4)]
     out[0][:] = cum
     ac = np.diff(cum) / m
     for pref, power in zip(out[1:], (ac, ac * ac, ac * ac * ac)):
         pref[0] = 0.0
         np.cumsum(power, out=pref[1:])
+    return out
 
 
 def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
-    """Score partitions from the arrays ``_grid_sums`` fills, for one grid or
-    several laid end to end; the search and risk-debug both call this.
+    """Score partitions from ``_grid_sums``'s arrays, of grids laid end to end.
 
     Partition j's central cell runs from entry ik[j] to il[j] of its grid,
     whose last entry is iend[j]; nf[j] is its N and wc[j] its central width.
-    Returns the central counts, (s11, s21, s31, s12, s22, s32), p_hat, its
+    Returns the central counts, (s11, s21, s12, s22, s32), p_hat, its
     selection MSE, x* and the risk; without ``adaptive_p``, p_hat is 1.
     """
     cum, pref1, pref2, pref3 = sums
@@ -447,12 +441,13 @@ def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
         out = pref.take(ik)
         out += pref.take(iend)
         out -= pref.take(il)
-        si1 = out * nf
-        si1 += np.divide(power, wc, out=tmp)
+        if pref is not pref3:     # s31 is no term of the MSE; risk-debug adds it
+            moments.append(out * nf)
+            moments[-1] += np.divide(power, wc, out=tmp)
         out *= n2
         out += np.divide(power, wc2, out=tmp)
-        moments += [si1, out]
-    s11, s12, s21, s22, s31, s32 = moments
+        moments.append(out)
+    s11, s12, s21, s22, s32 = moments
 
     coeffs = _mse_polynomial(m, s11, s21, s12, s22, s32)
     if adaptive_p:
@@ -460,34 +455,38 @@ def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
     else:
         p, mse, xstar = 1.0, selection_mse(coeffs, 1.0), None
     risk = _risk_from_sums(s11, s21, m, p)
-    return cc, (s11, s21, s31, s12, s22, s32), p, mse, xstar, risk
+    return cc, (s11, s21, s12, s22, s32), p, mse, xstar, risk
 
 
-def grid_diagnostics(sample: PValueSample, n: int) -> list[dict]:
-    """Risk-debug records of every partition (n, k, l) of grid n, in
-    ``enumerate_partitions`` order, holding the values the search ranks."""
-    m = sample.m
-    k, l = np.triu_indices(n + 1, k=1)
-    sums = [np.empty(n + 1) for _ in range(4)]
-    _grid_sums(grid_prefix(sample, n).cum, m, sums)
-    _, s, p, _, xstar, risk = _score(m, sums, k, l, n, float(n), (l - k) / n, adaptive_p=True)
-    s11, s21, s31, s12, s22, s32 = s
+def _records(m: int, sums, n: int, k, l) -> list[dict]:
+    """Risk-debug records of the partitions (n, k[j], l[j]) of a grid whose
+    ``_grid_sums`` are ``sums``: ``_score``'s values, with s31 and phi."""
+    wc = (l - k) / n
+    cc, (s11, s21, s12, s22, s32), p, _, xstar, risk = _score(
+        m, sums, k, l, n, float(n), wc, adaptive_p=True)
+    s31 = (sums[3][k] + sums[3][n] - sums[3][l]) * n + np.power(cc / m, 3) / wc
     phi = _phi_polynomial(m, s11, s21, s12, s22, s32)
-    columns = {
-        "N": np.full(k.size, n), "k": k, "l": l,
-        "s11": s11, "s21": s21, "s31": s31, "s12": s12, "s22": s22, "s32": s32,
-        "phi0": phi.phi0, "phi1": phi.phi1, "phi2": phi.phi2, "phi3": phi.phi3,
-        "p_hat": p.astype(np.int64), "p_real": np.where(np.isfinite(xstar), xstar, None),
-        "risk": risk,
-    }
+    columns = dict(N=np.full(k.size, n), k=k, l=l, s11=s11, s21=s21, s31=s31, s12=s12,
+                   s22=s22, s32=s32, phi0=phi.phi0, phi1=phi.phi1, phi2=phi.phi2,
+                   phi3=phi.phi3, p_hat=p.astype(np.int64),
+                   p_real=np.where(np.isfinite(xstar), xstar, None), risk=risk)
     return [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
 
+def grid_diagnostics(sample: PValueSample, n: int) -> Iterator[dict]:
+    """Risk-debug records of every partition (n, k, l) of grid n, in
+    ``enumerate_partitions`` order, holding the values the search ranks.
+    Scored some 4096 at a time, so a reader that stops early pays little."""
+    sums, rows = _grid_sums(grid_prefix(sample, n).cum, sample.m), max(1, 4096 // n)
+    for k0 in range(0, n, rows):
+        i, l = np.triu_indices(min(rows, n - k0), k0 + 1, n + 1)
+        yield from _records(sample.m, sums, n, i + k0, l)
+
+
 def partition_diagnostics(sample: PValueSample, spec: PartitionSpec) -> dict:
-    """Full per-partition record for the risk-debug interface: its row of
-    ``grid_diagnostics``."""
-    n, k = spec.n, spec.k
-    return grid_diagnostics(sample, n)[k * (2 * n + 1 - k) // 2 + spec.l - k - 1]
+    """The risk-debug record of one partition, as ``grid_diagnostics`` has it."""
+    sums = _grid_sums(grid_prefix(sample, spec.n).cum, sample.m)
+    return _records(sample.m, sums, spec.n, np.array([spec.k]), np.array([spec.l]))[0]
 
 
 def evaluate_partition(sample: PValueSample, spec: PartitionSpec) -> RiskEvaluation:

@@ -26,6 +26,7 @@ __all__ = [
     "ecdf",
     "threshold",
     "plugin_mtp",
+    "check_alpha",
     "check_delta",
     "bh_procedure",
     "error_metrics",
@@ -65,7 +66,7 @@ def ecdf(sample: PValueSample, t: float) -> float:
     return int(np.searchsorted(sample.values, t, side="right")) / sample.m
 
 
-def _check_alpha(alpha: float) -> None:
+def check_alpha(alpha: float) -> None:
     """Reject a level outside (0, 1), or NaN."""
     if not 0.0 < alpha < 1.0:
         raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha}")
@@ -78,7 +79,7 @@ def check_delta(delta: float) -> None:
 
 
 def _step_up(sample: PValueSample, alpha: float, theta: float, delta: float) -> MtpResult:
-    _check_alpha(alpha)
+    check_alpha(alpha)
     if not 0.0 < theta <= 1.0:
         raise InvalidTheta(f"theta must lie in (0, 1], got {theta}")
     p = sample.values

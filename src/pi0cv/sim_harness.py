@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError
 from .histogram_core import PValueSample
 from .jsonio import dumps17
-from .mtp import _check_alpha, bh_procedure, check_delta, error_metrics, plugin_mtp
+from .mtp import bh_procedure, check_alpha, check_delta, error_metrics, plugin_mtp
 from .pi0_estimator import EstimatorConfig, estimate_pi0
 
 __all__ = [
@@ -197,7 +197,7 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS, alpha: float = 0.1
     marked failed, and invalidates the table.  A bad ``alpha`` or ``delta``
     raises InvalidAlpha or InvalidDelta before any replicate runs.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     check_delta(delta)
     methods = list(methods)
     replicates: list[ReplicateResult] = []

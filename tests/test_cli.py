@@ -306,6 +306,26 @@ class TestRiskDebugCommand:
             assert lines == [dumps17(partition_diagnostics(sample, spec))
                              for spec in enumerate_partitions(1, 12)]
 
+    def test_fine_grid_scores_only_what_is_printed(self, capsys, uniform_file):
+        # grid 5000 has 12.5 million partitions; one record of it, or the
+        # first --all line, must not cost the whole grid
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            assert main(["risk-debug", "--input", uniform_file,
+                         "--N", "5000", "--k", "1", "--l", "4999"]) == 0
+            assert main(["risk-debug", "--input", uniform_file, "--all",
+                         "--nmin", "5000", "--nmax", "5000", "--limit", "1"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        sample = load_sample(np.loadtxt(uniform_file))
+        assert capsys.readouterr().out.splitlines() == [
+            dumps17(partition_diagnostics(sample, PartitionSpec(5000, k, l)))
+            for k, l in ((1, 4999), (0, 1))]
+
     def test_requires_spec_or_all(self, capsys, fixture_file):
         code = main(["risk-debug", "--input", fixture_file])
         assert code == 3
