@@ -426,8 +426,8 @@ def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
 
     Partition j's central cell runs from entry ik[j] to il[j] of its grid,
     whose last entry is iend[j]; nf[j] is its N and wc[j] its central width.
-    Returns the central counts, (s11, s21, s12, s22, s32), p_hat, its
-    selection MSE, x* and the risk; without ``adaptive_p``, p_hat is 1.
+    Returns the central counts, outer_3, (s11, s21, s12, s22, s32), p_hat,
+    its selection MSE, x* and the risk; without ``adaptive_p``, p_hat is 1.
     """
     cum, pref1, pref2, pref3 = sums
     cc = cum.take(il) - cum.take(ik)    # take: indexing's values, in less time
@@ -438,15 +438,15 @@ def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
     # width 1/N outside the central one; partly in place, in that order
     moments = []
     for pref, power in ((pref1, ac), (pref2, ac * ac), (pref3, np.power(ac, 3))):
-        out = pref.take(ik)
-        out += pref.take(iend)
-        out -= pref.take(il)
+        outer = pref.take(ik)
+        outer += pref.take(iend)
+        outer -= pref.take(il)
         if pref is not pref3:     # s31 is no term of the MSE; risk-debug adds it
-            moments.append(out * nf)
+            moments.append(outer * nf)
             moments[-1] += np.divide(power, wc, out=tmp)
-        out *= n2
-        out += np.divide(power, wc2, out=tmp)
-        moments.append(out)
+        # in place, but for outer_3, which is returned for risk-debug's s31
+        moments.append(outer * n2 if pref is pref3 else np.multiply(outer, n2, out=outer))
+        moments[-1] += np.divide(power, wc2, out=tmp)
     s11, s12, s21, s22, s32 = moments
 
     coeffs = _mse_polynomial(m, s11, s21, s12, s22, s32)
@@ -455,16 +455,16 @@ def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
     else:
         p, mse, xstar = 1.0, selection_mse(coeffs, 1.0), None
     risk = _risk_from_sums(s11, s21, m, p)
-    return cc, (s11, s21, s12, s22, s32), p, mse, xstar, risk
+    return cc, outer, (s11, s21, s12, s22, s32), p, mse, xstar, risk
 
 
 def _records(m: int, sums, n: int, k, l) -> list[dict]:
     """Risk-debug records of the partitions (n, k[j], l[j]) of a grid whose
     ``_grid_sums`` are ``sums``: ``_score``'s values, with s31 and phi."""
     wc = (l - k) / n
-    cc, (s11, s21, s12, s22, s32), p, _, xstar, risk = _score(
+    cc, outer3, (s11, s21, s12, s22, s32), p, _, xstar, risk = _score(
         m, sums, k, l, n, float(n), wc, adaptive_p=True)
-    s31 = (sums[3][k] + sums[3][n] - sums[3][l]) * n + np.power(cc / m, 3) / wc
+    s31 = outer3 * n + np.power(cc / m, 3) / wc
     phi = _phi_polynomial(m, s11, s21, s12, s22, s32)
     columns = dict(N=np.full(k.size, n), k=k, l=l, s11=s11, s21=s21, s31=s31, s12=s12,
                    s22=s22, s32=s32, phi0=phi.phi0, phi1=phi.phi1, phi2=phi.phi2,

@@ -152,7 +152,7 @@ def _scan(sample: PValueSample, tab: _SearchTables, adaptive_p: bool):
     cc, phat, risk, mse_at_p = (np.empty(size) for _ in range(4))
     for lo in range(0, size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        cc[blk], _, phat[blk], mse_at_p[blk], _, risk[blk] = _score(
+        cc[blk], _, _, phat[blk], mse_at_p[blk], _, risk[blk] = _score(
             m, sums, tab.idx_k[blk], tab.idx_l[blk], tab.idx_n[blk],
             tab.Nf[blk], tab.W[blk], adaptive_p)
     return cc, phat, risk, mse_at_p
