@@ -20,7 +20,6 @@ from .lpo_risk import (
     RiskEvaluation,
     bias_hat,
     bias_variance_oracle,
-    lpo_risk,
     lpo_risk_oracle,
     moment_sums,
     mse_coefficients,

@@ -22,18 +22,21 @@ sums s_ij = sum_k alpha_k^i / w_k^j:
   ``bias_variance_oracle``).
 
 So MSE(x) = [A x^2 + v1 x + v0] / [m(m-1)(m-x)]^2 with A = bias2 + var2, and
-the numerator of its derivative is linear in x, (2 A m + v1) x + (m v1 + 2 v0).
-When that slope is positive its root x* is the only minimum for x < m;
-otherwise the MSE is monotone or peaks inside, so an end wins.  The integer
-argmin over [1, m-1] is therefore one of the candidates 1, m-1, floor(x*),
-ceil(x*) (the last two clipped to [1, m-1], and 1 when x* is not a minimum),
-and ``select_p`` takes the first candidate of least selection MSE in that
-order.  The selection MSE clamps the variance at 0, which the exact
-coefficients never need on [1, m-1].  The MSE polynomial, the holdout rule,
-the selection MSE and the risk are each written once here, for floats or
-arrays.  ``_score`` alone turns grid prefix sums into per-partition values,
-for ``pi0_estimator._scan`` and for risk-debug's records; the fsum chain
-(``moment_sums`` through ``lpo_risk``) scores one partition, as a reference.
+the numerator of its derivative is lin (x - x*), with lin = 2 A m + v1 and
+x* = -(m v1 + 2 v0) / lin.  When lin > 0, x* is the only minimum for x < m,
+and MSE(a+1) - MSE(a) has the sign of the integral of (t - x*)(m - t)^-3 over
+[a, a+1]: with a = floor(x*) and u = m - a, ceil wins iff (x* - a)(2u - 1) > u.
+So the integer argmin over [1, m-1] follows from x* (clipped to that range)
+and m alone, never from the float MSE, whose coefficients cancel terms of
+order m^5.  Otherwise the MSE is monotone or peaks inside, so the end, 1 or
+m-1, of smaller selection MSE wins.  With all mass in one cell (bias2 == 0)
+the criterion is flat in p, and p = 1.  The selection MSE clamps the
+variance at 0, which the exact coefficients never need on [1, m-1].  The MSE
+polynomial, the holdout rule, the selection MSE and the risk are each
+written once here, for floats or arrays.  ``_score`` alone turns grid prefix
+sums into per-partition values, for ``pi0_estimator._scan`` and for
+risk-debug's records; the fsum chain (``moment_sums`` through ``lpo_risk``)
+scores one partition, as a reference.
 
 A second coefficient encoding (``phi_coefficients``, fields phi0..phi3) is
 kept because the risk-debug interface reports it for cross-implementation
@@ -318,47 +321,37 @@ def selection_mse(coeffs, p) -> float | np.ndarray:
 
 
 def _holdout(coeffs):
-    """(p_hat, its selection MSE, x*): p_hat is the first of 1, m-1, floor(x*),
-    ceil(x*) of least selection MSE.
-
-    The candidates are scored one at a time, each against the best so far,
-    so the whole family never needs a stack of all four.
-    """
+    """(p_hat, x*) for coefficients of ``_mse_polynomial``: p_hat by the
+    closed form of the module docstring where lin > 0, else the better end;
+    p = 1 where bias2 == 0, all mass in one cell, as the criterion is flat."""
     m = coeffs.m
-    bias2, v2, v1, v0 = coeffs.mse_parts()
+    bias2, v2, v1, v0 = np.atleast_1d(*coeffs.mse_parts())
     lin = 2 * (bias2 + v2) * m + v1
     with np.errstate(divide="ignore", invalid="ignore"):
         xstar = np.divide(-(m * v1 + 2 * v0), lin)
-    # clipping to the integer ends commutes with floor and ceil; a critical
-    # point that is no minimum, or not finite, yields candidate 1
-    x = np.where(np.isfinite(xstar) & (lin > 0),
-                 np.minimum(np.maximum(xstar, 1.0), m - 1.0), 1.0)
-    del lin     # one family-length array fewer while the candidates are scored
-    p_hat, best = 1.0, selection_mse(coeffs, 1.0)
-    for cand in (m - 1.0, np.floor(x), np.ceil(x)):
-        mse = selection_mse(coeffs, cand)
-        # np.argmin's rule over the candidates in order: a smaller MSE wins,
-        # and so does the first NaN
-        take = (mse < best) | ((mse != mse) & (best == best))
-        p_hat = np.where(take, cand, p_hat)
-        best = np.where(take, mse, best)
-    return p_hat, best, xstar
+    x = np.minimum(np.maximum(xstar, 1.0), m - 1.0)
+    a = np.floor(x)
+    u = m - a
+    p_hat = a + ((x - a) * (2 * u - 1) > u)
+    ends = ~((lin > 0) & np.isfinite(xstar))
+    if ends.any():      # a few partitions, scored on that subset only
+        rest = MseCoefficients(m, bias2[ends], v2[ends], v1[ends], v0[ends])
+        p_hat[ends] = np.where(selection_mse(rest, m - 1.0) < selection_mse(rest, 1.0),
+                               m - 1.0, 1.0)
+    p_hat[bias2 == 0] = 1.0
+    return p_hat, xstar
 
 
-def select_p(coeffs) -> PSelection:
-    """Choose the holdout size minimising the selection MSE over 1..m-1.
-
-    The MSE is a quadratic over [m(m-1)(m-x)]^2, so the integer argmin is
-    one of 1, m-1, floor(x*), ceil(x*) with x* the critical point (see the
-    module docstring).  Ties go to the first of these in that order, so a
-    criterion exactly flat in p selects p = 1.
-    """
-    p_hat, _, xstar = _holdout(coeffs)
-    xstar = float(xstar)
+def select_p(coeffs: MseCoefficients) -> PSelection:
+    """The holdout size minimising the selection MSE over 1..m-1, by the
+    search's rule.  Defined on ``MseCoefficients`` only: the phi variance is
+    negative on almost every p, so its clamped criterion has no closed form."""
+    p_hat, xstar = _holdout(coeffs)
+    xstar = float(xstar[0])
     return PSelection(
-        p_hat=int(p_hat),
+        p_hat=int(p_hat[0]),
         p_real=xstar if math.isfinite(xstar) else None,
-        p_independent=(coeffs.mse_parts()[0] == 0.0),
+        p_independent=(coeffs.bias2 == 0.0),
     )
 
 
@@ -427,7 +420,7 @@ def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
     Partition j's central cell runs from entry ik[j] to il[j] of its grid,
     whose last entry is iend[j]; nf[j] is its N and wc[j] its central width.
     Returns the central counts, outer_3, (s11, s21, s12, s22, s32), p_hat,
-    its selection MSE, x* and the risk; without ``adaptive_p``, p_hat is 1.
+    x* and the risk; without ``adaptive_p``, p_hat is 1 and x* None.
     """
     cum, pref1, pref2, pref3 = sums
     cc = cum.take(il) - cum.take(ik)    # take: indexing's values, in less time
@@ -449,20 +442,19 @@ def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
         moments[-1] += np.divide(power, wc2, out=tmp)
     s11, s12, s21, s22, s32 = moments
 
-    coeffs = _mse_polynomial(m, s11, s21, s12, s22, s32)
     if adaptive_p:
-        p, mse, xstar = _holdout(coeffs)
+        p, xstar = _holdout(_mse_polynomial(m, s11, s21, s12, s22, s32))
     else:
-        p, mse, xstar = 1.0, selection_mse(coeffs, 1.0), None
+        p, xstar = 1.0, None
     risk = _risk_from_sums(s11, s21, m, p)
-    return cc, outer, (s11, s21, s12, s22, s32), p, mse, xstar, risk
+    return cc, outer, (s11, s21, s12, s22, s32), p, xstar, risk
 
 
 def _records(m: int, sums, n: int, k, l) -> list[dict]:
     """Risk-debug records of the partitions (n, k[j], l[j]) of a grid whose
     ``_grid_sums`` are ``sums``: ``_score``'s values, with s31 and phi."""
     wc = (l - k) / n
-    cc, outer3, (s11, s21, s12, s22, s32), p, _, xstar, risk = _score(
+    cc, outer3, (s11, s21, s12, s22, s32), p, xstar, risk = _score(
         m, sums, k, l, n, float(n), wc, adaptive_p=True)
     s31 = outer3 * n + np.power(cc / m, 3) / wc
     phi = _phi_polynomial(m, s11, s21, s12, s22, s32)

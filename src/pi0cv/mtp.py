@@ -113,7 +113,7 @@ def plugin_mtp(sample: PValueSample, alpha: float, pi0, delta: float = 0.0) -> M
     """
     check_delta(delta)
     value = getattr(pi0, "pi0", pi0)
-    theta = min(1.0, float(value) + delta)
+    theta = min(float(value) + delta, 1.0)     # in this order a NaN stays NaN
     return _step_up(sample, alpha, theta, delta)
 
 

@@ -7,7 +7,7 @@ partition: pi0_raw = count / (m * (mu - lambda)) with lambda = k/N, mu = l/N.
 
 Selection is the risk argmin robustified by a small statistical band: among
 partitions whose risk lies within ``se_band`` standard errors of the minimum
-(the standard error being the root selection-MSE of the argmin partition),
+(the root selection-MSE of the argmin partition, re-scored alone for it),
 the coarsest grid N wins, then the smallest dimension, then the widest
 central cell, then the largest k.  The band suppresses winner's-curse picks
 from the ~1.7e5-strong family, where a noise-favoured fine partition can
@@ -19,9 +19,9 @@ never the whole family.
 
 The scan is vectorised in two stages.  Per grid N the cell counts and their
 power prefix sums cost O(m + N) once, after which every (k, l) pair costs
-O(1).  The per-partition stage (``lpo_risk._score``: moment sums, MSE
-polynomial, holdout choice and risk, as risk-debug reports them) then runs
-over consecutive blocks of the family rather than over all of it at once:
+O(1).  The per-partition stage (``lpo_risk._score``: moment sums, for lpo
+the MSE polynomial and holdout choice, and the risk, as risk-debug reports
+them) then runs over consecutive blocks of the family, not all of it at once:
 its temporaries are block-sized, so they stay in cache and the allocator
 recycles them between blocks and calls, where family-length temporaries
 would be returned to the system after each call and faulted in again on the
@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import InvalidLambda, InvalidRange
 from .histogram_core import PartitionSpec, PValueSample
-from .lpo_risk import _grid_sums, _score
+from .lpo_risk import _grid_sums, _mse_polynomial, _score, selection_mse
 
 __all__ = [
     "EstimatorConfig",
@@ -139,7 +139,8 @@ def _tables(n_min: int, n_max: int) -> _SearchTables:
 
 
 def _scan(sample: PValueSample, tab: _SearchTables, adaptive_p: bool):
-    """Vectorised risk scan; returns per-partition arrays."""
+    """Vectorised risk scan: per-partition central counts, p_hat and risk,
+    and the per-grid sums they were scored from."""
     m = sample.m
     sums = [np.empty(tab.cum_len) for _ in range(4)]
     for n, edges in zip(tab.grid, tab.edges):
@@ -149,13 +150,22 @@ def _scan(sample: PValueSample, tab: _SearchTables, adaptive_p: bool):
         _grid_sums(c, m, [a[off:off + n + 1] for a in sums])
 
     size = tab.N.size
-    cc, phat, risk, mse_at_p = (np.empty(size) for _ in range(4))
+    cc, phat, risk = (np.empty(size) for _ in range(3))
     for lo in range(0, size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        cc[blk], _, _, phat[blk], mse_at_p[blk], _, risk[blk] = _score(
+        cc[blk], _, _, phat[blk], _, risk[blk] = _score(
             m, sums, tab.idx_k[blk], tab.idx_l[blk], tab.idx_n[blk],
             tab.Nf[blk], tab.W[blk], adaptive_p)
-    return cc, phat, risk, mse_at_p
+    return cc, phat, risk, sums
+
+
+def _selection_mse_at(m: int, sums, tab: _SearchTables, j: int, p: float) -> float:
+    """Selection MSE of partition j at holdout p, re-scored alone from the
+    per-grid sums ``_scan`` returns."""
+    one = slice(j, j + 1)
+    moments = _score(m, sums, tab.idx_k[one], tab.idx_l[one], tab.idx_n[one],
+                     tab.Nf[one], tab.W[one], adaptive_p=False)[2]
+    return float(selection_mse(_mse_polynomial(m, *moments), p)[0])
 
 
 def _first_by_shape(tab: _SearchTables, sel: np.ndarray) -> int:
@@ -172,7 +182,7 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
         return ss_estimator(sample, lam, method=cfg.method)
     tab = _tables(cfg.n_min, cfg.n_max)
     m = sample.m
-    cc, phat, risk, mse_at_p = _scan(sample, tab, adaptive_p=(cfg.method == "lpo"))
+    cc, phat, risk, sums = _scan(sample, tab, adaptive_p=(cfg.method == "lpo"))
 
     finite = np.isfinite(risk)
     if not finite.any():
@@ -185,10 +195,8 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
 
     jmin = _first_by_shape(tab, np.flatnonzero(risk == risk.min()))
     if cfg.se_band > 0.0:
-        se = float(np.sqrt(max(mse_at_p[jmin], 0.0)))
-        if not np.isfinite(se):
-            se = 0.0
-        band = risk[jmin] + cfg.se_band * se
+        se = np.sqrt(max(_selection_mse_at(m, sums, tab, jmin, phat[jmin]), 0.0))
+        band = risk[jmin] + cfg.se_band * (se if np.isfinite(se) else 0.0)
         j = _first_by_shape(tab, np.flatnonzero(risk <= band))
     else:
         j = jmin

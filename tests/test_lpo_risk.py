@@ -1,4 +1,7 @@
+import functools
 import math
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +17,8 @@ from pi0cv.histogram_core import (
 )
 from pi0cv.lpo_risk import (
     MseCoefficients,
-    _holdout,
+    _mse_polynomial,
+    _risk_from_sums,
     bias_hat,
     bias_variance_oracle,
     evaluate_partition,
@@ -46,6 +50,14 @@ def _sample_with_counts(counts, spec):
         for i in range(c):
             vals.append(left + (i + 1) / (c + 1) * (right - left))
     return load_sample(vals)
+
+
+def test_import_yields_the_module():
+    # the package does not re-export the function lpo_risk over its module
+    import pi0cv.lpo_risk as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.lpo_risk is lpo_risk
 
 
 class TestMomentSums:
@@ -311,17 +323,6 @@ class TestSelectP:
             best, values = self._grid_argmin(mc, m)
             assert selection_mse(mc, sel.p_hat) <= values.min() + 1e-12
 
-    def test_attains_grid_minimum_phi_coeffs(self):
-        rng = np.random.default_rng(6)
-        for _ in range(30):
-            raw = rng.random(2) + 0.05
-            alpha = raw / raw.sum()
-            m = int(rng.integers(2, 120))
-            phi = phi_coefficients(moment_sums_from(alpha, [0.5, 0.5]), m)
-            sel = select_p(phi)
-            best, values = self._grid_argmin(phi, m)
-            assert selection_mse(phi, sel.p_hat) <= values.min() + 1e-12
-
     def test_skewed_cells_m100(self):
         mc = mse_coefficients(moment_sums_from([0.9, 0.1], [0.9, 0.1]), 100)
         sel = select_p(mc)
@@ -359,108 +360,141 @@ class TestSelectP:
             assert sel.p_hat == base.p_hat
 
 
-def _stacked_holdout(coeffs):
-    """(p_hat, its selection MSE, x*) by the rule as first written.
+def _mixture(m):
+    """m p-values, 80% uniform and 20% Beta(1, 20)."""
+    rng = np.random.default_rng(m)
+    return load_sample(np.where(rng.random(m) < 0.8, rng.random(m), rng.beta(1, 20, m)))
 
-    The four candidates are stacked into one array, scored together and
-    picked by np.argmin down the stack.  Kept as the oracle for ``_holdout``,
-    which scores them one at a time.
-    """
-    m = coeffs.m
-    bias2, v2, v1, v0 = coeffs.mse_parts()
-    lin = 2 * (bias2 + v2) * m + v1
+
+def _exact(sample, spec):
+    """The exact reference for one partition, in rational arithmetic: its
+    MSE coefficients (from moment sums over exact cell masses and widths),
+    x* (None where lin == 0), whether lin > 0, and the integer argmin of the
+    selection MSE over 1..m-1 with the risk there."""
+    m = sample.m
+    widths = [Fraction(1, spec.n)] * spec.dimension
+    widths[spec.central_index] = Fraction(spec.l - spec.k, spec.n)
+    counts = bin_counts(grid_prefix(sample, spec.n), spec).counts
+    cells = [(Fraction(int(c), m), w) for c, w in zip(counts, widths) if c]
+    s = {(i, j): sum(a ** i / w ** j for a, w in cells) for i in (1, 2, 3) for j in (1, 2)}
+    coeffs = _mse_polynomial(m, s[1, 1], s[2, 1], s[1, 2], s[2, 2], s[3, 2])
+    lin = 2 * (coeffs.bias2 + coeffs.var2) * m + coeffs.var1
+    xstar = -(m * coeffs.var1 + 2 * coeffs.var0) / lin if lin else None
+    # the argmin is one of these candidates (module docstring); ties go to
+    # the first, so a flat criterion gives p = 1
+    cands = [1, m - 1]
+    if lin > 0:
+        a = math.floor(min(max(xstar, 1), m - 1))
+        cands += [a, min(a + 1, m - 1)]
+    mse = [_exact_mse(coeffs, p) for p in cands]
+    p = cands[mse.index(min(mse))]
+    return coeffs, xstar, lin > 0, p, _risk_from_sums(s[1, 1], s[2, 1], m, p)
+
+
+def _exact_mse(coeffs, p):
+    """The selection MSE at integer p times (m(m-1))^2, exactly."""
+    var = coeffs.var2 * p * p + coeffs.var1 * p + coeffs.var0
+    return (coeffs.bias2 * p * p + max(var, 0)) / (coeffs.m - p) ** 2
+
+
+REFERENCE_M = [2, 3, 50, 1000, 100_000, 1_000_000]
+# The float64 MSE coefficients cancel terms of order m^5, so x* (p_real) is
+# only as accurate as this: about twice the largest relative error measured
+# on these rows, over the search's and the fsum chain's x*.
+P_REAL_REL = {2: 5e-15, 3: 1e-14, 50: 3e-11, 1000: 7e-10, 100_000: 2e-9, 1_000_000: 1e-8}
+RISK_REL = 1e-14
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_rows(m):
+    """``_mixture(m)`` and (spec, risk-debug record, exact reference) for
+    partitions of its grids 1..50: random ones, single-cell ones, ones whose
+    MSE has no minimum, ones whose x* is clipped to 1 or m - 1, and interior
+    ones whose x* lies nearest an integer or the floor/ceil threshold."""
+    sample = _mixture(m)
+    records = [rec for n in range(1, 51) for rec in grid_diagnostics(sample, n)]
+    col = {f: np.array([r[f] for r in records], dtype=float)
+           for f in ("s11", "s21", "s12", "s22", "s32", "p_real")}
+    coeffs = _mse_polynomial(m, col["s11"], col["s21"], col["s12"], col["s22"], col["s32"])
+    lin = 2 * (coeffs.bias2 + coeffs.var2) * m + coeffs.var1
+    x = col["p_real"]       # NaN where None
+    flat = coeffs.bias2 == 0
+    interior = (lin > 0) & (x > 1) & (x < m - 1) & ~flat
     with np.errstate(divide="ignore", invalid="ignore"):
-        xstar = np.divide(-(m * v1 + 2 * v0), lin)
-    x = np.where(np.isfinite(xstar) & (lin > 0),
-                 np.minimum(np.maximum(xstar, 1.0), m - 1.0), 1.0)
-    cand = np.empty((4,) + x.shape)
-    cand[0] = 1.0
-    cand[1] = m - 1.0
-    cand[2] = np.floor(x)
-    cand[3] = np.ceil(x)
-    k2 = (m * (m - 1.0) * (m - cand)) ** 2
-    mse = (bias2 * cand ** 2 + np.maximum(v2 * cand ** 2 + v1 * cand + v0, 0.0)) / k2
-    pick = mse.argmin(axis=0)[np.newaxis]
-    return (np.take_along_axis(cand, pick, axis=0)[0],
-            np.take_along_axis(mse, pick, axis=0)[0], xstar)
-
-
-def _holdout_rows(m, rng):
-    """Coefficient rows (bias2, var2, var1, var0) that exercise every branch."""
+        a = np.floor(x)
+        u = m - a
+        to_integer = np.where(interior, np.abs(x - np.round(x)) / x, np.inf)
+        to_threshold = np.where(interior, np.abs(x - a - u / (2 * u - 1)) / x, np.inf)
+    rng = np.random.default_rng(m)
+    picks = [rng.choice(len(records), 12, replace=False)]
+    for case in (flat, (lin <= 0) & ~flat, (lin > 0) & ~interior & ~flat):
+        where = np.flatnonzero(case)
+        picks.append(rng.choice(where, min(5, where.size), replace=False))
+    picks += [np.argsort(to_integer)[:min(6, interior.sum())],
+              np.argsort(to_threshold)[:min(6, interior.sum())]]
     rows = []
-    for _ in range(40):        # plug-in coefficients of random partitions
-        d = int(rng.integers(1, 6))
-        alpha = rng.dirichlet(np.ones(d))
-        omega = rng.dirichlet(np.ones(d))
-        mc = mse_coefficients(moment_sums_from(alpha, omega), m)
-        rows.append(mc.mse_parts())
-    for _ in range(40):        # arbitrary signs and scales, lin <= 0 included
-        rows.append(tuple(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 12, 4)))
-    # x* exactly at 1, at m - 1, at an integer between and halfway between
-    for target in (1.0, m - 1.0, float(max(1, m // 2)), max(1, m // 2) + 0.5, 0.25, 2.0 * m):
-        bias2, v2, v1 = 3.0, 5.0, -7.0
-        lin = 2 * (bias2 + v2) * m + v1
-        rows.append((bias2, v2, v1, -(target * lin + m * v1) / 2))
-    # exact ties: every candidate's MSE is 0, or inf, or equal by symmetry
-    rows += [(0.0, -1.0, -1.0, -1.0), (0.0, 0.0, 0.0, 0.0), (np.inf, 1.0, 1.0, 1.0),
-             (0.0, 0.0, 0.0, 1.0), (1.0, -1.0, 0.0, 0.0)]
-    # non-finite entries in each field
-    for field in range(4):
-        for bad in (np.nan, np.inf, -np.inf):
-            row = [2.0, 3.0, -50.0, 100.0]
-            row[field] = bad
-            rows.append(tuple(row))
-    rows += [(np.inf, -np.inf, 0.0, 0.0), (np.nan, np.nan, np.nan, np.nan),
-             (0.0, np.inf, -np.inf, 0.0), (0.0, 0.0, np.inf, -np.inf)]
-    rows.append(_first_nan_row(m))
-    return np.array(rows, dtype=float)
+    for j in dict.fromkeys(np.concatenate(picks).tolist()):
+        spec = PartitionSpec(records[j]["N"], records[j]["k"], records[j]["l"])
+        rows.append((spec, records[j], _exact(sample, spec)))
+    return sample, rows
 
 
-def _first_nan_row(m):
-    """A row whose MSE is 0 at p = 1 and NaN at p = m - 1, floor(x*) and
-    ceil(x*) (bias2 p^2 and var2 p^2 overflow to -inf and inf there), with
-    x* = 0.75 m; np.argmin takes the first NaN, p = m - 1."""
-    big = 10 * (1e308 / m ** 2)
-    return (-big, big, 1.0, -(0.75 * m + m) / 2)
+class TestHoldoutAgainstExactReference:
+    @pytest.mark.parametrize("m", REFERENCE_M)
+    def test_search_holdout_is_the_exact_argmin(self, m):
+        for spec, rec, (_, _, _, p, risk) in _reference_rows(m)[1]:
+            assert rec["p_hat"] == p, spec
+            assert rec["risk"] == pytest.approx(float(risk), rel=RISK_REL, abs=RISK_REL)
 
+    @pytest.mark.parametrize("m", REFERENCE_M)
+    def test_select_p_is_the_exact_argmin(self, m):
+        sample, rows = _reference_rows(m)
+        for spec, _, (_, _, _, p, _) in rows:
+            counts = bin_counts(grid_prefix(sample, spec.n), spec)
+            assert select_p(mse_coefficients(moment_sums(counts, spec), m)).p_hat == p, spec
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # rows hold inf - inf on purpose
-class TestHoldoutAgainstStackedRule:
-    @pytest.mark.parametrize("m", [2, 3, 50, 1000, 100_000])
-    def test_family_arrays_match_bit_for_bit(self, m):
-        rows = _holdout_rows(m, np.random.default_rng(m))
-        coeffs = MseCoefficients(m, *rows.T)
-        p_hat, mse, xstar = _holdout(coeffs)
-        want_p, want_mse, want_x = _stacked_holdout(coeffs)
-        assert p_hat.tobytes() == want_p.tobytes()
-        np.testing.assert_array_equal(mse, want_mse)
-        np.testing.assert_array_equal(xstar, want_x)
-        np.testing.assert_array_equal(mse, selection_mse(coeffs, p_hat))
+    @pytest.mark.parametrize("m", REFERENCE_M)
+    def test_p_real_within_measured_bound(self, m):
+        sample, rows = _reference_rows(m)
+        for spec, rec, (_, xstar, _, _, _) in rows:
+            if xstar is None:       # lin == 0: the single-cell rows
+                continue
+            counts = bin_counts(grid_prefix(sample, spec.n), spec)
+            fsum = select_p(mse_coefficients(moment_sums(counts, spec), m)).p_real
+            for got in (rec["p_real"], fsum):
+                assert abs(got - xstar) <= P_REAL_REL[m] * abs(xstar), spec
 
-    @pytest.mark.parametrize("m", [2, 3, 50, 1000, 100_000])
-    def test_scalar_select_p_agrees(self, m):
-        rows = _holdout_rows(m, np.random.default_rng(m))
-        want_p, _, want_x = _stacked_holdout(MseCoefficients(m, *rows.T))
-        for row, p, x in zip(rows, want_p, want_x):
-            sel = select_p(MseCoefficients(m, *map(float, row)))
-            assert sel.p_hat == int(p)
-            assert sel.p_real == (float(x) if np.isfinite(x) else None)
+    @pytest.mark.parametrize("m", [2, 3, 50, 1000])
+    def test_candidates_hold_the_exact_argmin(self, m):
+        for spec, _, (coeffs, _, _, p, _) in _reference_rows(m)[1]:
+            mse = [_exact_mse(coeffs, q) for q in range(1, m)]
+            assert mse.index(min(mse)) + 1 == p, spec
 
-    def test_rows_reach_every_candidate(self):
-        m = 1000
-        rows = _holdout_rows(m, np.random.default_rng(m))
-        p_hat, _, _ = _stacked_holdout(MseCoefficients(m, *rows.T))
-        assert {1.0, m - 1.0} <= set(p_hat.tolist())
-        assert np.any((p_hat > 1) & (p_hat < m - 1))
+    def test_ends_compared_where_the_mse_has_no_minimum(self):
+        # the sampled partitions never take p = m - 1 for m > 2; with the
+        # variance c (m - 1 - p) >= 0 on [1, m - 1], lin < 0, and a small
+        # enough bias, that end wins
+        m, c = 10, 1000.0
+        for bias2, want in ((1.0, m - 1), (2.0, 1)):
+            coeffs = MseCoefficients(m, bias2, 0.0, -c, (m - 1) * c)
+            exact = MseCoefficients(m, *map(Fraction, coeffs.mse_parts()))
+            mse = [_exact_mse(exact, p) for p in range(1, m)]
+            assert mse.index(min(mse)) + 1 == want
+            assert select_p(coeffs).p_hat == want
 
-    @pytest.mark.parametrize("m", [50, 1000, 100_000])
-    def test_first_nan_wins(self, m):
-        row = _first_nan_row(m)
-        coeffs = MseCoefficients(m, *np.array([row]).T)
-        p_hat, mse, _ = _stacked_holdout(coeffs)
-        assert p_hat[0] == m - 1 and np.isnan(mse[0])
-        assert _holdout(coeffs)[0][0] == m - 1
-        assert select_p(MseCoefficients(m, *row)).p_hat == m - 1
+    def test_rows_reach_every_case(self):
+        cases = set()
+        for m in REFERENCE_M:
+            for spec, _, (coeffs, xstar, minimum, p, _) in _reference_rows(m)[1]:
+                if coeffs.bias2 == 0:
+                    cases.add("flat")
+                elif not minimum:
+                    cases.add("no minimum")
+                elif not 1 < xstar < m - 1:
+                    cases.add("clipped")
+                else:
+                    cases.add("ceil" if p > xstar else "floor")
+        assert cases == {"flat", "no minimum", "clipped", "ceil", "floor"}
 
 
 class TestAsymptoticBehaviour:

@@ -105,6 +105,13 @@ class TestPluginMtp:
         res = plugin_mtp(s, 0.15, est)
         assert res.theta == min(1.0, est.pi0)
 
+    def test_nan_pi0_rejected(self):
+        # min(1.0, nan) is 1.0, which would silently run the BH procedure
+        s = load_sample(FIXTURE)
+        for delta in (0.0, 5.0):
+            with pytest.raises(InvalidTheta):
+                plugin_mtp(s, 0.15, float("nan"), delta=delta)
+
     def test_negative_delta_rejected(self):
         s = load_sample(FIXTURE)
         for delta in (-0.1, float("nan")):

@@ -183,7 +183,7 @@ class TestEstimateProperties:
 
     def test_vectorised_scan_matches_scalar_ops_per_partition(self):
         # the fast path must agree with the contract operations partition by
-        # partition: holdout choice, risk at that holdout, selection MSE
+        # partition: holdout choice, risk at that holdout, central count
         from pi0cv.histogram_core import enumerate_partitions
         from pi0cv.lpo_risk import selection_mse
         from pi0cv.pi0_estimator import _scan, _tables
@@ -191,12 +191,12 @@ class TestEstimateProperties:
         rng = np.random.default_rng(48)
         sample = load_sample(rng.random(60) ** 1.3)
         tab = _tables(1, 10)
-        cc, phat, risk, mse_at_p = _scan(sample, tab, adaptive_p=True)
+        cc, phat, risk, _ = _scan(sample, tab, adaptive_p=True)
         for idx, spec in enumerate(enumerate_partitions(1, 10)):
             counts = bin_counts(grid_prefix(sample, spec.n), spec)
             mc = mse_coefficients(moment_sums(counts, spec), sample.m)
             sel = select_p(mc)
-            scan_mse = mse_at_p[idx]
+            scan_mse = float(selection_mse(mc, phat[idx]))
             scalar_mse = float(selection_mse(mc, sel.p_hat))
             # the scan may land on a neighbouring integer when the criterion is
             # flat to rounding; the attained MSE must match the grid optimum
@@ -220,10 +220,12 @@ class TestEstimateProperties:
 
 
 def _lexsort_selection(tab, risk, mse_at_p, se_band):
-    """Index of the selected partition by a lexsort over the whole family.
+    """Index of the selected partition by a lexsort over the whole family,
+    with the SE read from the family's selection MSE ``mse_at_p``.
 
     This is the selection as first written, kept as the oracle for
-    ``estimate_pi0``, which sorts only the tie set at the minimum and the band.
+    ``estimate_pi0``, which sorts only the tie set at the minimum and the band
+    and re-scores the argmin partition alone for its SE.
     """
     risk = np.where(np.isfinite(risk), risk, np.inf)
     order = np.lexsort((-tab.K, -tab.W, tab.D, tab.N, risk))
@@ -258,7 +260,8 @@ class TestSelectionOracle:
         from pi0cv.pi0_estimator import _tables
 
         tab = _tables(1, 100)
-        cc, phat, risk, mse_at_p = scan(sample, tab, method == "lpo")
+        cc, phat, risk, _ = scan(sample, tab, method == "lpo")
+        mse_at_p = _unblocked_scan(sample, tab, method == "lpo")[3]
         j = _lexsort_selection(tab, risk, mse_at_p, se_band)
         est = estimate_pi0(sample, EstimatorConfig(method=method, se_band=se_band))
         assert (est.n_hat, est.lambda_hat, est.mu_hat) == (tab.N[j], tab.lam[j], tab.mu[j])
@@ -283,14 +286,14 @@ class TestSelectionOracle:
 
         def scan_with_holes(sample, tab, adaptive_p):
             # spoil the true argmin and a spread of other partitions
-            cc, phat, risk, mse_at_p = real_scan(sample, tab, adaptive_p)
+            cc, phat, risk, sums = real_scan(sample, tab, adaptive_p)
             risk = risk.copy()
             best = np.argsort(risk, kind="stable")[:3]
             risk[best] = [np.nan, -np.inf, np.inf]
             risk[::7] = np.nan
             risk[3::11] = -np.inf
             risk[5::13] = np.inf
-            return cc, phat, risk, mse_at_p
+            return cc, phat, risk, sums
 
         monkeypatch.setattr(mod, "_scan", scan_with_holes)
         rng = np.random.default_rng(62)
@@ -324,7 +327,8 @@ class TestSelectionOracle:
 def _unblocked_scan(sample, tab, adaptive_p):
     """``_scan`` as it was before the family was split into blocks: every
     temporary spans the whole family.  Kept as the oracle for the blocked
-    scan, which must return the same bits."""
+    scan, which must return the same bits, and for the SE: its fourth array
+    is the selection MSE of every partition at its holdout."""
     from pi0cv.lpo_risk import _holdout, _mse_polynomial, _risk_from_sums, selection_mse
 
     values = sample.values
@@ -373,11 +377,8 @@ def _unblocked_scan(sample, tab, adaptive_p):
     s32 += np.divide(np.power(ac, 3, out=tmp), wc2, out=tmp)
 
     coeffs = _mse_polynomial(m, s11, s21, s12, s22, s32)
-    if adaptive_p:
-        phat, mse_at_p, _ = _holdout(coeffs)
-    else:
-        phat, mse_at_p = np.ones_like(s11), selection_mse(coeffs, 1.0)
-    return cc, phat, _risk_from_sums(s11, s21, m, phat), mse_at_p
+    phat = _holdout(coeffs)[0] if adaptive_p else np.ones_like(s11)
+    return cc, phat, _risk_from_sums(s11, s21, m, phat), selection_mse(coeffs, phat)
 
 
 def _first_partitions(tab, size):
@@ -405,7 +406,7 @@ class TestBlockedScan:
     @pytest.mark.parametrize("family", [(1, 1), (1, 5), "one_block", "one_block_plus_one",
                                         (1, 100)], ids=str)
     def test_bit_identical_to_unblocked_scan(self, family, adaptive_p):
-        from pi0cv.pi0_estimator import _BLOCK, _scan
+        from pi0cv.pi0_estimator import _BLOCK, _first_by_shape, _scan, _selection_mse_at
 
         tab = _family(family)
         if family == "one_block":
@@ -414,14 +415,21 @@ class TestBlockedScan:
         samples = dict(_selection_samples(), m100000=rng.random(100_000) ** 1.5)
         for name, raw in samples.items():
             sample = load_sample(raw)
-            got = _scan(sample, tab, adaptive_p)
-            want = _unblocked_scan(sample, tab, adaptive_p)
-            assert len(got) == 4
-            for field, g, w in zip(("cc", "phat", "risk", "mse_at_p"), got, want):
+            *got, sums = _scan(sample, tab, adaptive_p)
+            *want, mse_at_p = _unblocked_scan(sample, tab, adaptive_p)
+            for field, g, w in zip(("cc", "phat", "risk"), got, want):
                 assert g.shape == w.shape == (tab.N.size,), (name, field)
                 # same bits, which also makes NaN equal NaN
                 np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64),
                                               err_msg=f"{name}: {field}")
+            # the SE is the argmin partition's selection MSE, re-scored alone;
+            # it and a spread of others match the whole family's bits
+            phat, risk = got[1], got[2]
+            finite = np.where(np.isfinite(risk), risk, np.inf)
+            jmin = _first_by_shape(tab, np.flatnonzero(finite == finite.min()))
+            for j in {int(jmin), 0, tab.N.size - 1, *range(0, tab.N.size, 997)}:
+                mse = _selection_mse_at(sample.m, sums, tab, j, phat[j])
+                assert np.float64(mse).view(np.uint64) == mse_at_p[j].view(np.uint64), (name, j)
 
     @pytest.mark.parametrize("method", ["lpo", "loo"])
     def test_peak_memory_below_eight_family_arrays(self, method):
