@@ -34,9 +34,10 @@ the criterion is flat in p, and p = 1.  The selection MSE clamps the
 variance at 0, which the exact coefficients never need on [1, m-1].  The MSE
 polynomial, the holdout rule, the selection MSE and the risk are each
 written once here, for floats or arrays.  ``_score`` alone turns grid prefix
-sums into per-partition values, for ``pi0_estimator._scan`` and for
-risk-debug's records; the fsum chain (``moment_sums`` through ``lpo_risk``)
-scores one partition, as a reference.
+sums into per-partition values.  The risk reads s11 and s21 only, all that
+loo's scan forms; lpo's scan and ``pi0_estimator._rescore`` add s12, s22 and
+s32 for the holdout rule and the SE, and risk-debug's records add s31; the
+fsum chain (``moment_sums`` to ``lpo_risk``) is the one-partition reference.
 
 A second coefficient encoding (``phi_coefficients``, fields phi0..phi3) is
 kept because the risk-debug interface reports it for cross-implementation
@@ -305,25 +306,16 @@ def selection_mse(coeffs, p) -> float | np.ndarray:
     """Squared bias plus variance clamped below at 0, the selection criterion."""
     m = coeffs.m
     bias2, v2, v1, v0 = coeffs.mse_parts()
-    # (bias2 p^2 + max(v2 p^2 + v1 p + v0, 0)) / (m (m-1) (m-p))^2, partly in
-    # place but with the expression's operations in its order; p may be a
-    # number or an array, of floats or of integers
     p2 = p * p
-    var = v2 * p2
-    var += v1 * p
-    var += v0
-    out = bias2 * p2
-    out += np.maximum(var, 0.0)
     k = m * (m - 1.0) * (m - p)
-    k *= k
-    out /= k
-    return out
+    return (bias2 * p2 + np.maximum(v2 * p2 + v1 * p + v0, 0.0)) / (k * k)
 
 
 def _holdout(coeffs):
     """(p_hat, x*) for coefficients of ``_mse_polynomial``: p_hat by the
-    closed form of the module docstring where lin > 0, else the better end;
-    p = 1 where bias2 == 0, all mass in one cell, as the criterion is flat."""
+    closed form of the module docstring where lin > 0, else the better end.
+    Where bias2 == 0, all mass in one cell, the criterion is flat: p = 1, and
+    x* is NaN, as the exact coefficients are all 0."""
     m = coeffs.m
     bias2, v2, v1, v0 = np.atleast_1d(*coeffs.mse_parts())
     lin = 2 * (bias2 + v2) * m + v1
@@ -338,7 +330,8 @@ def _holdout(coeffs):
         rest = MseCoefficients(m, bias2[ends], v2[ends], v1[ends], v0[ends])
         p_hat[ends] = np.where(selection_mse(rest, m - 1.0) < selection_mse(rest, 1.0),
                                m - 1.0, 1.0)
-    p_hat[bias2 == 0] = 1.0
+    flat = bias2 == 0
+    p_hat[flat], xstar[flat] = 1.0, np.nan
     return p_hat, xstar
 
 
@@ -414,49 +407,57 @@ def _grid_sums(cum, m: int, out=None):
     return out
 
 
+def _outer(pref, ik, il, iend):
+    """``pref`` summed over the cells outside [ik, il) of a grid ending at iend."""
+    outer = pref.take(ik)       # take: indexing's values, in less time
+    outer += pref.take(iend)
+    outer -= pref.take(il)
+    return outer
+
+
 def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
     """Score partitions from ``_grid_sums``'s arrays, of grids laid end to end.
 
     Partition j's central cell runs from entry ik[j] to il[j] of its grid,
     whose last entry is iend[j]; nf[j] is its N and wc[j] its central width.
-    Returns the central counts, outer_3, (s11, s21, s12, s22, s32), p_hat,
-    x* and the risk; without ``adaptive_p``, p_hat is 1 and x* None.
+    Returns the central counts, the moment sums, p_hat, x* and the risk: with
+    ``adaptive_p`` (s11, s21, s12, s22, s32) and the holdout rule's p_hat and
+    x*; without, only the (s11, s21) the risk at p = 1 reads, 1 and None.
     """
     cum, pref1, pref2, pref3 = sums
-    cc = cum.take(il) - cum.take(ik)    # take: indexing's values, in less time
+    cc = cum.take(il) - cum.take(ik)
     ac = cc / m
-    n2, wc2 = nf * nf, wc * wc
+    ac2 = ac * ac
     tmp = np.empty_like(ac)
     # s_ij = outer_i N^j + ac^i / wc^j, outer_i summing over the cells of
     # width 1/N outside the central one; partly in place, in that order
-    moments = []
-    for pref, power in ((pref1, ac), (pref2, ac * ac), (pref3, np.power(ac, 3))):
-        outer = pref.take(ik)
-        outer += pref.take(iend)
-        outer -= pref.take(il)
-        if pref is not pref3:     # s31 is no term of the MSE; risk-debug adds it
-            moments.append(outer * nf)
-            moments[-1] += np.divide(power, wc, out=tmp)
-        # in place, but for outer_3, which is returned for risk-debug's s31
-        moments.append(outer * n2 if pref is pref3 else np.multiply(outer, n2, out=outer))
-        moments[-1] += np.divide(power, wc2, out=tmp)
-    s11, s12, s21, s22, s32 = moments
+    outer1, outer2 = _outer(pref1, ik, il, iend), _outer(pref2, ik, il, iend)
+    s11 = outer1 * nf
+    s11 += np.divide(ac, wc, out=tmp)
+    s21 = outer2 * nf
+    s21 += np.divide(ac2, wc, out=tmp)
+    if not adaptive_p:
+        return cc, (s11, s21), 1.0, None, _risk_from_sums(s11, s21, m, 1.0)
 
-    if adaptive_p:
-        p, xstar = _holdout(_mse_polynomial(m, s11, s21, s12, s22, s32))
-    else:
-        p, xstar = 1.0, None
-    risk = _risk_from_sums(s11, s21, m, p)
-    return cc, outer, (s11, s21, s12, s22, s32), p, xstar, risk
+    n2, wc2 = nf * nf, wc * wc
+    s12 = np.multiply(outer1, n2, out=outer1)
+    s12 += np.divide(ac, wc2, out=tmp)
+    s22 = np.multiply(outer2, n2, out=outer2)
+    s22 += np.divide(ac2, wc2, out=tmp)
+    s32 = _outer(pref3, ik, il, iend)
+    s32 *= n2
+    s32 += np.divide(np.power(ac, 3), wc2, out=tmp)
+    p, xstar = _holdout(_mse_polynomial(m, s11, s21, s12, s22, s32))
+    return cc, (s11, s21, s12, s22, s32), p, xstar, _risk_from_sums(s11, s21, m, p)
 
 
 def _records(m: int, sums, n: int, k, l) -> list[dict]:
     """Risk-debug records of the partitions (n, k[j], l[j]) of a grid whose
     ``_grid_sums`` are ``sums``: ``_score``'s values, with s31 and phi."""
     wc = (l - k) / n
-    cc, outer3, (s11, s21, s12, s22, s32), p, xstar, risk = _score(
+    cc, (s11, s21, s12, s22, s32), p, xstar, risk = _score(
         m, sums, k, l, n, float(n), wc, adaptive_p=True)
-    s31 = outer3 * n + np.power(cc / m, 3) / wc
+    s31 = _outer(sums[3], k, l, n) * n + np.power(cc / m, 3) / wc
     phi = _phi_polynomial(m, s11, s21, s12, s22, s32)
     columns = dict(N=np.full(k.size, n), k=k, l=l, s11=s11, s21=s21, s31=s31, s12=s12,
                    s22=s22, s32=s32, phi0=phi.phi0, phi1=phi.phi1, phi2=phi.phi2,

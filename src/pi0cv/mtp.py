@@ -5,10 +5,11 @@ its step-up equivalence: with sorted p-values p_(1) <= ... <= p_(m),
 
     k_hat = max{ i : p_(i) <= i * alpha / (m * theta) }    (0 if none)
 
-and all hypotheses with p-value <= p_(k_hat) are rejected.  The rejection set
-is the contract; the reported numeric threshold is alpha * k_hat / (m * theta)
-clamped into the half-open plateau [p_(k_hat), p_(k_hat+1)) and capped at 1,
-so that {P_i <= threshold} recovers exactly the rejected set by value.
+and all hypotheses with p-value <= p_(k_hat), the first k_hat sorted values,
+are rejected.  The rejection set is the contract; the reported numeric
+threshold is alpha * k_hat / (m * theta) clamped from both sides into the
+half-open plateau [p_(k_hat), p_(k_hat+1)) and capped at 1, so that
+{P_i <= threshold} recovers exactly the rejected set by value.
 """
 
 from __future__ import annotations
@@ -90,13 +91,12 @@ def _step_up(sample: PValueSample, alpha: float, theta: float, delta: float) -> 
         return MtpResult(threshold=0.0, rejected=np.empty(0, dtype=np.int64), k_hat=0,
                          alpha=alpha, theta=theta, delta=delta, m=m)
     k_hat = int(hits[-1]) + 1
-    t = alpha * k_hat / (m * theta)
+    # alpha k_hat / (m theta) can round below the cut k_hat (alpha / (m theta))
+    t = max(alpha * k_hat / (m * theta), float(p[k_hat - 1]))
     if k_hat < m:
         t = min(t, float(np.nextafter(p[k_hat], -np.inf)))
     t = min(t, 1.0)
-    # p_(k_hat) <= t by the step-up inequality, so t stays inside the plateau
-    rejected = np.nonzero(p <= t)[0]
-    return MtpResult(threshold=float(t), rejected=rejected, k_hat=k_hat,
+    return MtpResult(threshold=float(t), rejected=np.arange(k_hat), k_hat=k_hat,
                      alpha=alpha, theta=theta, delta=delta, m=m)
 
 

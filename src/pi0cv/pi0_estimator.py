@@ -19,14 +19,14 @@ never the whole family.
 
 The scan is vectorised in two stages.  Per grid N the cell counts and their
 power prefix sums cost O(m + N) once, after which every (k, l) pair costs
-O(1).  The per-partition stage (``lpo_risk._score``: moment sums, for lpo
-the MSE polynomial and holdout choice, and the risk, as risk-debug reports
-them) then runs over consecutive blocks of the family, not all of it at once:
-its temporaries are block-sized, so they stay in cache and the allocator
-recycles them between blocks and calls, where family-length temporaries
-would be returned to the system after each call and faulted in again on the
-next.  Every operation is elementwise, so the blocked scan returns the same
-bits as one pass over the whole family.
+O(1).  The per-partition stage (``lpo_risk._score``) then runs over blocks
+of the family: block-sized temporaries stay in cache and the allocator
+recycles them between blocks and calls, where family-length ones would be
+faulted in afresh on every call.  Every operation is elementwise, so the
+blocks return the same bits as one pass over the whole family.  The scan
+ranks, keeping one risk per partition; the re-score explains the pick:
+``_rescore`` runs the same kernel on one partition from the scan's per-grid
+sums, for the argmin's SE and the winner's central count and p_hat.
 """
 
 from __future__ import annotations
@@ -120,12 +120,8 @@ class _SearchTables:
         self.idx_k = np.concatenate(idx_k)
         self.idx_l = np.concatenate(idx_l)
         self.idx_n = np.concatenate(idx_n)
-        nf = self.N.astype(float)
-        self.Nf = nf
-        self.W = (self.L - self.K) / nf
-        self.D = (self.N + 1 - (self.L - self.K)).astype(float)
-        self.lam = self.K / nf
-        self.mu = self.L / nf
+        self.Nf = self.N.astype(float)
+        self.W = (self.L - self.K) / self.Nf
 
 
 _tables_cache: dict[tuple[int, int], _SearchTables] = {}
@@ -139,8 +135,8 @@ def _tables(n_min: int, n_max: int) -> _SearchTables:
 
 
 def _scan(sample: PValueSample, tab: _SearchTables, adaptive_p: bool):
-    """Vectorised risk scan: per-partition central counts, p_hat and risk,
-    and the per-grid sums they were scored from."""
+    """Vectorised risk scan: the risk of every partition, and the per-grid
+    sums it was scored from."""
     m = sample.m
     sums = [np.empty(tab.cum_len) for _ in range(4)]
     for n, edges in zip(tab.grid, tab.edges):
@@ -149,30 +145,29 @@ def _scan(sample: PValueSample, tab: _SearchTables, adaptive_p: bool):
         c[-1] = m
         _grid_sums(c, m, [a[off:off + n + 1] for a in sums])
 
-    size = tab.N.size
-    cc, phat, risk = (np.empty(size) for _ in range(3))
-    for lo in range(0, size, _BLOCK):
+    risk = np.empty(tab.N.size)
+    for lo in range(0, risk.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
-        cc[blk], _, _, phat[blk], _, risk[blk] = _score(
-            m, sums, tab.idx_k[blk], tab.idx_l[blk], tab.idx_n[blk],
-            tab.Nf[blk], tab.W[blk], adaptive_p)
-    return cc, phat, risk, sums
+        risk[blk] = _score(m, sums, tab.idx_k[blk], tab.idx_l[blk], tab.idx_n[blk],
+                           tab.Nf[blk], tab.W[blk], adaptive_p)[-1]
+    return risk, sums
 
 
-def _selection_mse_at(m: int, sums, tab: _SearchTables, j: int, p: float) -> float:
-    """Selection MSE of partition j at holdout p, re-scored alone from the
-    per-grid sums ``_scan`` returns."""
+def _rescore(m: int, sums, tab: _SearchTables, j: int):
+    """Partition j scored alone from the per-grid sums ``_scan`` returns, with
+    the adaptive holdout: its central count, p_hat, risk and MSE polynomial."""
     one = slice(j, j + 1)
-    moments = _score(m, sums, tab.idx_k[one], tab.idx_l[one], tab.idx_n[one],
-                     tab.Nf[one], tab.W[one], adaptive_p=False)[2]
-    return float(selection_mse(_mse_polynomial(m, *moments), p)[0])
+    cc, moments, p, _, risk = _score(m, sums, tab.idx_k[one], tab.idx_l[one],
+                                     tab.idx_n[one], tab.Nf[one], tab.W[one], adaptive_p=True)
+    return cc[0], p[0], risk[0], _mse_polynomial(m, *moments)
 
 
 def _first_by_shape(tab: _SearchTables, sel: np.ndarray) -> int:
     """The partition of ``sel`` with the coarsest grid, then the smallest
     dimension, the widest central cell and the largest k; the first index
     among equals."""
-    return sel[np.lexsort((-tab.K[sel], -tab.W[sel], tab.D[sel], tab.N[sel]))[0]]
+    n, k = tab.N[sel], tab.K[sel]
+    return sel[np.lexsort((-k, -tab.W[sel], n - (tab.L[sel] - k), n))[0]]
 
 
 def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig()) -> Pi0Estimate:
@@ -182,7 +177,8 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
         return ss_estimator(sample, lam, method=cfg.method)
     tab = _tables(cfg.n_min, cfg.n_max)
     m = sample.m
-    cc, phat, risk, sums = _scan(sample, tab, adaptive_p=(cfg.method == "lpo"))
+    lpo = cfg.method == "lpo"
+    risk, sums = _scan(sample, tab, adaptive_p=lpo)
 
     finite = np.isfinite(risk)
     if not finite.any():
@@ -193,24 +189,25 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
     if not finite.all():
         risk = np.where(finite, risk, np.inf)
 
-    jmin = _first_by_shape(tab, np.flatnonzero(risk == risk.min()))
+    j = _first_by_shape(tab, np.flatnonzero(risk == risk.min()))
     if cfg.se_band > 0.0:
-        se = np.sqrt(max(_selection_mse_at(m, sums, tab, jmin, phat[jmin]), 0.0))
-        band = risk[jmin] + cfg.se_band * (se if np.isfinite(se) else 0.0)
+        # loo's SE is the selection MSE at its own holdout, p = 1
+        _, p, _, coeffs = _rescore(m, sums, tab, j)
+        se = np.sqrt(max(float(selection_mse(coeffs, p if lpo else 1.0)[0]), 0.0))
+        band = risk[j] + cfg.se_band * (se if np.isfinite(se) else 0.0)
         j = _first_by_shape(tab, np.flatnonzero(risk <= band))
-    else:
-        j = jmin
 
-    pi0_raw = cc[j] / (m * tab.W[j])
+    cc, p_hat, _, _ = _rescore(m, sums, tab, j)
+    pi0_raw = cc / (m * tab.W[j])
     return Pi0Estimate(
         method=cfg.method,
         m=m,
         pi0_raw=float(pi0_raw),
         pi0=float(min(1.0, max(1.0 / m, pi0_raw))),
-        lambda_hat=float(tab.lam[j]),
-        mu_hat=float(tab.mu[j]),
+        lambda_hat=float(tab.K[j] / tab.Nf[j]),
+        mu_hat=float(tab.L[j] / tab.Nf[j]),
         n_hat=int(tab.N[j]),
-        p_hat=int(phat[j]),
+        p_hat=int(p_hat) if lpo else 1,
         risk=float(risk[j]),
     )
 

@@ -102,8 +102,7 @@ class TestDegenerateSelection:
         import pi0cv.pi0_estimator as mod
 
         def broken_scan(sample, tab, adaptive_p):
-            bad = np.full(tab.N.size, np.nan)
-            return bad, np.ones(tab.N.size), bad, bad
+            return np.full(tab.N.size, np.nan), None
 
         monkeypatch.setattr(mod, "_scan", broken_scan)
 
@@ -128,6 +127,17 @@ class TestMtpCommand:
         assert payload["theta"] == 1.0
         assert payload["rejected_indices"] == [0, 1]
         assert payload["threshold"] == pytest.approx(0.06)
+
+    def test_threshold_keeps_the_value_on_its_cut(self, tmp_path, capsys):
+        # p_(3) lies on 3 * (0.15 / 1000), where 0.15 * 3 / 1000 rounds below it
+        f = tmp_path / "p.txt"
+        f.write_text("1e-09\n1e-09\n0.00045\n" + "0.9\n" * 997)
+        code, payload = run_json(capsys, ["mtp", "--input", str(f),
+                                          "--alpha", "0.15", "--pi0", "1.0"])
+        assert code == 0
+        assert payload["k_hat"] == 3
+        assert payload["threshold"] == 0.00045
+        assert payload["rejected_indices"] == [0, 1, 2]
 
     def test_pi0_half(self, capsys, fixture_file):
         code, payload = run_json(capsys, ["mtp", "--input", fixture_file,

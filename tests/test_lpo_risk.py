@@ -330,10 +330,19 @@ class TestSelectP:
         assert sel.p_hat == best
 
     def test_single_cell_flags_p_independence(self):
-        mc = mse_coefficients(moment_sums_from([1.0], [1.0]), 9)
-        sel = select_p(mc)
-        assert sel.p_independent
-        assert sel.p_hat == 1  # flat criterion: ties go to the first candidate, p = 1
+        # all mass in one cell: the exact coefficients are all 0, so x* is 0/0
+        # however the float ones round; the widths 1/4 + 3/4 and 0.3 + 0.4 +
+        # 0.3 leave noise in them
+        for omega in ([1.0], [0.25, 0.75], [0.3, 0.4, 0.3]):
+            alpha = [float(w == max(omega)) for w in omega]
+            for m in (3, 9, 20, 1000):
+                sel = select_p(mse_coefficients(moment_sums_from(alpha, omega), m))
+                assert sel.p_independent
+                assert sel.p_hat == 1  # flat criterion: p = 1
+                assert sel.p_real is None, (omega, m)
+        # the search's record of such a partition, as risk-debug prints it
+        rec = partition_diagnostics(load_sample(np.full(20, 0.5)), PartitionSpec(4, 0, 3))
+        assert (rec["p_hat"], rec["p_real"]) == (1, None)
 
     def test_exact_variance_never_clamped(self):
         rng = np.random.default_rng(9)
@@ -535,12 +544,17 @@ class TestEvaluatePartition:
         assert rec["N"] == 3 and rec["k"] == 1 and rec["l"] == 3
 
     def test_grid_records_carry_the_search_values_bit_for_bit(self):
+        from pi0cv.lpo_risk import _score
         from pi0cv.pi0_estimator import _scan, _tables
 
         rng = np.random.default_rng(23)
         sample = load_sample(np.where(rng.random(1000) < 0.8, rng.random(1000),
                                       rng.beta(1, 20, 1000)))
-        _, phat, risk, _ = _scan(sample, _tables(1, 100), adaptive_p=True)
+        tab = _tables(1, 100)
+        risk, sums = _scan(sample, tab, adaptive_p=True)
+        # the scan keeps only the risk; its kernel over the whole family gives
+        # the p_hat each risk was scored at
+        phat = _score(sample.m, sums, tab.idx_k, tab.idx_l, tab.idx_n, tab.Nf, tab.W, True)[2]
         records = [rec for n in range(1, 101) for rec in grid_diagnostics(sample, n)]
         assert [(r["N"], r["k"], r["l"]) for r in records] == \
                [(spec.n, spec.k, spec.l) for spec in enumerate_partitions(1, 100)]

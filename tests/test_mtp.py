@@ -56,11 +56,22 @@ class TestThreshold:
 
     def test_threshold_stays_inside_plateau(self):
         rng = np.random.default_rng(0)
+        cases = []
         for _ in range(200):
             m = int(rng.integers(2, 40))
-            s = load_sample(rng.random(m))
-            alpha = float(rng.uniform(0.01, 0.5))
-            theta = float(rng.uniform(0.05, 1.0))
+            cases.append((load_sample(rng.random(m)), float(rng.uniform(0.01, 0.5)),
+                          float(rng.uniform(0.05, 1.0))))
+        # p_(k) exactly on its cut k (alpha / (m theta)), which alpha k / (m theta)
+        # rounds below for some k, e.g. k = 3 at alpha = 0.15, m = 1000
+        m = 1000
+        for alpha, theta in ((0.15, 1.0), (0.05, 0.7)):
+            for k in range(1, m + 1):
+                values = np.full(m, 0.9)
+                values[:k - 1] = 1e-9
+                values[k - 1] = k * (alpha / (m * theta))
+                cases.append((load_sample(values), alpha, theta))
+        for s, alpha, theta in cases:
+            m = s.m
             res = plugin_mtp(s, alpha, theta)
             if res.k_hat == 0:
                 assert res.threshold == 0.0

@@ -65,9 +65,7 @@ class TestEstimateFixtures:
         import pi0cv.pi0_estimator as mod
 
         def broken_scan(sample, tab, adaptive_p):
-            n = tab.N.size
-            bad = np.full(n, np.nan)
-            return bad, np.ones(n), bad, bad
+            return np.full(tab.N.size, np.nan), None
 
         monkeypatch.setattr(mod, "_scan", broken_scan)
         est = estimate_pi0(load_sample([0.2, 0.4, 0.6]), EstimatorConfig(n_max=3))
@@ -186,12 +184,13 @@ class TestEstimateProperties:
         # partition: holdout choice, risk at that holdout, central count
         from pi0cv.histogram_core import enumerate_partitions
         from pi0cv.lpo_risk import selection_mse
-        from pi0cv.pi0_estimator import _scan, _tables
+        from pi0cv.pi0_estimator import _rescore, _scan, _tables
 
         rng = np.random.default_rng(48)
         sample = load_sample(rng.random(60) ** 1.3)
         tab = _tables(1, 10)
-        cc, phat, risk, _ = _scan(sample, tab, adaptive_p=True)
+        risk, sums = _scan(sample, tab, adaptive_p=True)
+        cc, phat = np.array([_rescore(sample.m, sums, tab, j)[:2] for j in range(risk.size)]).T
         for idx, spec in enumerate(enumerate_partitions(1, 10)):
             counts = bin_counts(grid_prefix(sample, spec.n), spec)
             mc = mse_coefficients(moment_sums(counts, spec), sample.m)
@@ -228,7 +227,8 @@ def _lexsort_selection(tab, risk, mse_at_p, se_band):
     and re-scores the argmin partition alone for its SE.
     """
     risk = np.where(np.isfinite(risk), risk, np.inf)
-    order = np.lexsort((-tab.K, -tab.W, tab.D, tab.N, risk))
+    dim = tab.N + 1 - (tab.L - tab.K)
+    order = np.lexsort((-tab.K, -tab.W, dim, tab.N, risk))
     jmin = order[0]
     if se_band == 0.0:
         return jmin
@@ -236,7 +236,7 @@ def _lexsort_selection(tab, risk, mse_at_p, se_band):
     if not np.isfinite(se):
         se = 0.0
     sel = np.nonzero(risk <= risk[jmin] + se_band * se)[0]
-    return sel[np.lexsort((-tab.K[sel], -tab.W[sel], tab.D[sel], tab.N[sel]))[0]]
+    return sel[np.lexsort((-tab.K[sel], -tab.W[sel], dim[sel], tab.N[sel]))[0]]
 
 
 def _selection_samples():
@@ -260,11 +260,12 @@ class TestSelectionOracle:
         from pi0cv.pi0_estimator import _tables
 
         tab = _tables(1, 100)
-        cc, phat, risk, _ = scan(sample, tab, method == "lpo")
-        mse_at_p = _unblocked_scan(sample, tab, method == "lpo")[3]
+        risk, _ = scan(sample, tab, method == "lpo")
+        cc, phat, _, mse_at_p = _unblocked_scan(sample, tab, method == "lpo")
         j = _lexsort_selection(tab, risk, mse_at_p, se_band)
         est = estimate_pi0(sample, EstimatorConfig(method=method, se_band=se_band))
-        assert (est.n_hat, est.lambda_hat, est.mu_hat) == (tab.N[j], tab.lam[j], tab.mu[j])
+        assert (est.n_hat, est.lambda_hat, est.mu_hat) == \
+               (tab.N[j], tab.K[j] / tab.N[j], tab.L[j] / tab.N[j])
         assert est.p_hat == int(phat[j])
         assert est.risk == float(risk[j])
         assert est.pi0_raw == cc[j] / (sample.m * tab.W[j])
@@ -286,14 +287,13 @@ class TestSelectionOracle:
 
         def scan_with_holes(sample, tab, adaptive_p):
             # spoil the true argmin and a spread of other partitions
-            cc, phat, risk, sums = real_scan(sample, tab, adaptive_p)
-            risk = risk.copy()
+            risk, sums = real_scan(sample, tab, adaptive_p)
             best = np.argsort(risk, kind="stable")[:3]
             risk[best] = [np.nan, -np.inf, np.inf]
             risk[::7] = np.nan
             risk[3::11] = -np.inf
             risk[5::13] = np.inf
-            return cc, phat, risk, sums
+            return risk, sums
 
         monkeypatch.setattr(mod, "_scan", scan_with_holes)
         rng = np.random.default_rng(62)
@@ -386,7 +386,7 @@ def _first_partitions(tab, size):
     import copy
 
     cut = copy.copy(tab)
-    for name in ("N", "K", "L", "idx_k", "idx_l", "idx_n", "Nf", "W", "D", "lam", "mu"):
+    for name in ("N", "K", "L", "idx_k", "idx_l", "idx_n", "Nf", "W"):
         setattr(cut, name, getattr(tab, name)[:size])
     return cut
 
@@ -406,7 +406,12 @@ class TestBlockedScan:
     @pytest.mark.parametrize("family", [(1, 1), (1, 5), "one_block", "one_block_plus_one",
                                         (1, 100)], ids=str)
     def test_bit_identical_to_unblocked_scan(self, family, adaptive_p):
-        from pi0cv.pi0_estimator import _BLOCK, _first_by_shape, _scan, _selection_mse_at
+        from pi0cv.lpo_risk import selection_mse
+        from pi0cv.pi0_estimator import _BLOCK, _first_by_shape, _rescore, _scan
+
+        def same_bits(got, want):
+            # which also makes NaN equal NaN
+            return np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
         tab = _family(family)
         if family == "one_block":
@@ -415,24 +420,27 @@ class TestBlockedScan:
         samples = dict(_selection_samples(), m100000=rng.random(100_000) ** 1.5)
         for name, raw in samples.items():
             sample = load_sample(raw)
-            *got, sums = _scan(sample, tab, adaptive_p)
-            *want, mse_at_p = _unblocked_scan(sample, tab, adaptive_p)
-            for field, g, w in zip(("cc", "phat", "risk"), got, want):
-                assert g.shape == w.shape == (tab.N.size,), (name, field)
-                # same bits, which also makes NaN equal NaN
-                np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64),
-                                              err_msg=f"{name}: {field}")
-            # the SE is the argmin partition's selection MSE, re-scored alone;
-            # it and a spread of others match the whole family's bits
-            phat, risk = got[1], got[2]
+            risk, sums = _scan(sample, tab, adaptive_p)
+            cc, phat, want_risk, mse_at_p = _unblocked_scan(sample, tab, adaptive_p)
+            assert risk.shape == (tab.N.size,), name
+            np.testing.assert_array_equal(risk.view(np.uint64), want_risk.view(np.uint64),
+                                          err_msg=f"{name}: risk")
+            # the re-score gives the adaptive holdout and its risk for either
+            # method, and the SE at the method's own holdout
+            lpo_phats, lpo_risks = ((phat, want_risk) if adaptive_p
+                                   else _unblocked_scan(sample, tab, True)[1:3])
             finite = np.where(np.isfinite(risk), risk, np.inf)
             jmin = _first_by_shape(tab, np.flatnonzero(finite == finite.min()))
             for j in {int(jmin), 0, tab.N.size - 1, *range(0, tab.N.size, 997)}:
-                mse = _selection_mse_at(sample.m, sums, tab, j, phat[j])
-                assert np.float64(mse).view(np.uint64) == mse_at_p[j].view(np.uint64), (name, j)
+                got_cc, got_p, got_risk, coeffs = _rescore(sample.m, sums, tab, j)
+                mse = selection_mse(coeffs, got_p if adaptive_p else 1.0)[0]
+                for field, got, want in (("cc", got_cc, cc[j]), ("p_hat", got_p, lpo_phats[j]),
+                                         ("risk", got_risk, lpo_risks[j]),
+                                         ("mse", mse, mse_at_p[j])):
+                    assert same_bits(got, want), (name, j, field)
 
     @pytest.mark.parametrize("method", ["lpo", "loo"])
-    def test_peak_memory_below_eight_family_arrays(self, method):
+    def test_peak_memory_below_four_family_arrays(self, method):
         import tracemalloc
 
         from pi0cv.pi0_estimator import _tables
@@ -448,7 +456,25 @@ class TestBlockedScan:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * family_array, f"peak {peak / family_array:.1f} family arrays"
+        assert peak < 4 * family_array, f"peak {peak / family_array:.1f} family arrays"
+
+    @pytest.mark.parametrize("method", ["lpo", "loo"])
+    def test_warm_calls_fault_no_pages(self, method):
+        # a family-length temporary that glibc returns to the system after a
+        # call is faulted in again on the next; which arrays come from the
+        # reused heap depends on what was allocated before them
+        import resource
+
+        rng = np.random.default_rng(66)
+        sample = load_sample(rng.random(1000))
+        cfg = EstimatorConfig(method=method)
+        for _ in range(3):
+            estimate_pi0(sample, cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            estimate_pi0(sample, cfg)
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
+        assert faults < 50, f"{faults:.0f} minor page faults per warm call"
 
 
 class TestSsEstimator:
