@@ -18,6 +18,8 @@ import itertools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import sim_harness
 from .errors import (
     InputError,
@@ -52,8 +54,10 @@ def _emit(payload: dict, fmt: str, output: str | None) -> None:
         def cell(value):
             if isinstance(value, str):
                 return value
+            if isinstance(value, np.ndarray):
+                value = value.tolist()
             if isinstance(value, (list, tuple)):
-                return ";".join(str(v) for v in value)
+                return ";".join(map(str, value))
             return dumps17(value)
         lines = [f"{key},{cell(value)}" for key, value in payload.items()]
         _write("\n".join(lines) + "\n", output)
@@ -106,7 +110,7 @@ def cmd_mtp(args) -> int:
         "delta": result.delta,
         "k_hat": result.k_hat,
         "threshold": result.threshold,
-        "rejected_indices": [int(i) + base for i in mask.nonzero()[0]],
+        "rejected_indices": mask.nonzero()[0] + base,
     }
     _emit(payload, args.format, args.output)
     return EXIT_OK

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -158,16 +159,55 @@ def load_sample(raw: Sequence[float] | np.ndarray) -> PValueSample:
 
 
 def read_pvalue_file(path: str | Path, column: str | None = None) -> np.ndarray:
-    """Read raw p-values from a file, preserving input order.
+    """Read raw p-values from a UTF-8 file, preserving input order.
 
     Plain-text mode (default): one value per line, blank lines and lines
     starting with '#' ignored.  CSV mode (``column`` given): values taken
-    from the named column.  Parse errors cite the 1-based line number.
+    from the named column.  Parse errors, bytes that are not UTF-8
+    included, cite the 1-based line number.
+
+    Plain text is first parsed in bulk by numpy's C reader.  Its result is
+    kept only when it is one column of at least one value, every value in
+    [0, 1]; anything else (a '#' line, a whitespace-only line, two values
+    on a line, an unparsable or out-of-range value, an empty file) is read
+    again by the line-by-line reader, which alone accepts unusual input and
+    words every error, so both paths give the same values and messages.
     """
     path = Path(path)
+    if column is None:
+        values = _bulk_parse(path)
+        if values is not None:
+            return values
+    try:
+        return _read_lines(path, column)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _bulk_parse(path: Path) -> np.ndarray | None:
+    """Plain-text values parsed by ``np.loadtxt``, or None to fall back."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # an empty file warns
+            table = np.loadtxt(path, dtype=float, comments=None, delimiter=",",
+                               ndmin=2, encoding="utf-8")
+    except (ValueError, OSError):   # what the C reader refuses, the loop decides
+        return None
+    # ndmin=2 keeps a one-line "0.1,0.2" as shape (1, 2), which the loop rejects
+    if table.shape[0] == 0 or table.shape[1] != 1:
+        return None
+    values = table.ravel()
+    # NaN fails both comparisons, and infinities the range
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        return None
+    return values
+
+
+def _read_lines(path: Path, column: str | None) -> np.ndarray:
+    """The line-by-line reader, the only one that words errors."""
     out: list[float] = []
     comments = column is None
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         if comments:
             rows = enumerate(fh, start=1)
         else:
@@ -191,6 +231,19 @@ def read_pvalue_file(path: str | Path, column: str | None = None) -> np.ndarray:
                 raise InputError(f"{path}:{lineno}: p-value out of [0, 1]: {val!r}")
             out.append(val)
     return np.asarray(out, dtype=float)
+
+
+def _not_utf8(path: Path) -> InputError:
+    """The error citing the line of the file's first byte that is not UTF-8,
+    counting the line breaks the reader splits on: LF, CR and CR LF."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return InputError(f"{path}:{line}: not valid UTF-8")
+    return InputError(f"{path}: not valid UTF-8")   # rewritten since the failed read
 
 
 def partition_count(n_min: int, n_max: int) -> int:

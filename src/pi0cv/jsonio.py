@@ -7,6 +7,7 @@ IEEE double.
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -14,7 +15,22 @@ import numpy as np
 __all__ = ["dumps17"]
 
 
+# every record repeats the same few keys; typed, so 1 and True stay apart
+@functools.lru_cache(maxsize=1024, typed=True)
+def _key(k) -> str:
+    return json.dumps(str(k))
+
+
 def _render(obj) -> str:
+    # exact types first: nearly every value of a record is one of these
+    kind = type(obj)
+    if kind is float or kind is np.float64:
+        x = float(obj)
+        return format(x, ".17g") if x - x == 0 else "null"
+    if kind is int:
+        return str(obj)
+    if isinstance(obj, dict):
+        return "{" + ", ".join([f"{_key(k)}: {_render(v)}" for k, v in obj.items()]) + "}"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
@@ -28,9 +44,8 @@ def _render(obj) -> str:
         return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
+        return "[" + ", ".join(map(str, obj.tolist())) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         return "[" + ", ".join(_render(v) for v in seq) + "]"

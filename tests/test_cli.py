@@ -54,6 +54,19 @@ class TestEstimateCommand:
         code = main(["estimate", "--input", str(tmp_path / "nope.txt")])
         assert code == 3
 
+    @pytest.mark.parametrize("data, column, line", [
+        (b"0.1\n\xe9\n0.2\n", None, 2),
+        (b"gene,pval\ng1,0.1\ng\xe9,0.2\ng3,0.3\n", "pval", 3),
+    ])
+    def test_non_utf8_input_exits_3(self, tmp_path, capsys, data, column, line):
+        f = tmp_path / "p.txt"
+        f.write_bytes(data)
+        argv = ["estimate", "--input", str(f)] + (["--column", column] if column else [])
+        code = main(argv)
+        assert code == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "InputError", "message": f"{f}:{line}: not valid UTF-8"}
+
     def test_ss_method_delegates_exactly(self, capsys, fixture_file):
         code, payload = run_json(capsys, ["estimate", "--input", fixture_file,
                                           "--method", "ss", "--lambda", "0.5"])
@@ -162,6 +175,26 @@ class TestMtpCommand:
                                           "--one-based"])
         assert code == 0
         assert payload["rejected_indices"] == [2, 4]
+
+    @pytest.mark.parametrize("flags, indices", [([], "1;3"), (["--one-based"], "2;4")])
+    def test_csv_format_joins_indices(self, tmp_path, capsys, flags, indices):
+        f = tmp_path / "p.txt"
+        f.write_text("0.5\n0.01\n0.9\n0.02\n0.6\n")
+        code = main(["mtp", "--input", str(f), "--alpha", "0.15", "--pi0", "1.0",
+                     "--format", "csv", *flags])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "alpha,0.14999999999999999\ntheta,1\ndelta,0\nk_hat,2\n"
+            f"threshold,0.059999999999999998\nrejected_indices,{indices}\n")
+
+    @pytest.mark.parametrize("fmt, empty", [("json", '"rejected_indices": []'),
+                                            ("csv", "rejected_indices,\n")])
+    def test_no_rejections(self, tmp_path, capsys, fmt, empty):
+        f = tmp_path / "p.txt"
+        f.write_text("0.5\n0.9\n0.6\n")
+        code = main(["mtp", "--input", str(f), "--pi0", "1.0", "--format", fmt, "--one-based"])
+        assert code == 0
+        assert empty in capsys.readouterr().out
 
     def test_alpha_zero_is_usage_error(self, capsys, fixture_file):
         code = main(["mtp", "--input", fixture_file, "--alpha", "0"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pi0cv import histogram_core
 from pi0cv.errors import (
     EmptyInput,
     InputError,
@@ -241,3 +242,120 @@ class TestReadPvalueFile:
         with pytest.raises(InputError) as info:
             read_pvalue_file(f, column="pval")
         assert str(info.value) == f"{f}:4: not a number: 'x'"
+
+    def test_plain_text_not_utf8_cites_line(self, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"0.1\r0.2\r\n\xe9\n0.3\n")
+        with pytest.raises(InputError) as info:
+            read_pvalue_file(f)
+        assert str(info.value) == f"{f}:3: not valid UTF-8"
+
+    def test_csv_not_utf8_cites_line(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"gene,pval\ng1,0.4\ng\xe9,0.5\n")
+        with pytest.raises(InputError) as info:
+            read_pvalue_file(f, column="pval")
+        assert str(info.value) == f"{f}:3: not valid UTF-8"
+
+
+def _outcome(path):
+    """The reader's values as float.hex, or its error's type and message."""
+    try:
+        return [v.hex() for v in read_pvalue_file(path).tolist()]
+    except InputError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _loop_outcome(path):
+    """``_outcome`` with the bulk parse switched off: the line-by-line reader alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(histogram_core, "_bulk_parse", lambda path: None)
+        return _outcome(path)
+
+
+# inputs on which numpy's reader and the line-by-line reader could part ways
+PLAIN_TEXT_CORPUS = {
+    "crlf": b"0.1\r\n0.2\r\n",
+    "lone_cr": b"0.1\r0.2\r",
+    "no_final_newline": b"0.1\n0.2",
+    "space_padding": b" 0.5 \n0.2\n",
+    "nbsp_padding": "\xa00.5\xa0\n0.2\n".encode(),
+    "whitespace_only_line": b"0.1\n  \t \n0.2\n",
+    "blank_last_line": b"0.1\n0.2\n\n",
+    "comments": b"# header\n0.1\n0.2\n# tail\n",
+    "trailing_comment": b"0.1 # c\n",
+    "underscore": b"1_000\n",
+    "underscore_in_range": b"0.000_5\n0.2\n",
+    "hex": b"0x1p-3\n",
+    "plus_point": b"+.5\n0.2\n",
+    "trailing_point": b"1.\n0.\n",
+    "minus_zero": b"-0\n0.5\n",
+    "subnormal": b"4.9e-324\n0.5\n",
+    "overflow": b"1e400\n",
+    "nan": b"0.5\nnan\n",
+    "minus_nan": b"-nan\n",
+    "infinity": b"Infinity\n",
+    "fullwidth_digit": "\uff10.5\n0.2\n".encode(),
+    "bom": b"\xef\xbb\xbf0.5\n0.2\n",
+    "nul": b"0.5\x00\n0.2\n",
+    "quoted": b'"0.5"\n',
+    "two_values_space": b"0.1 0.2\n",
+    "two_values_tab": b"0.1\t0.2\n",
+    "two_values_comma_two_lines": b"0.1,0.2\n0.3,0.4\n",
+    "two_values_comma_one_line": b"0.1,0.2\n",
+    "trailing_comma": b"0.1,\n",
+    "negative": b"0.5\n-0.1\n",
+    "above_one": b"1.5\n",
+    "empty": b"",
+    "only_blank_lines": b"\n\n\n",
+    "plain": b"0\n1\n0.25\n1e-300\n0.1234567890123456789\n",
+}
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize("name", sorted(PLAIN_TEXT_CORPUS))
+    def test_same_values_and_errors_as_the_loop(self, tmp_path, name):
+        f = tmp_path / "p.txt"
+        f.write_bytes(PLAIN_TEXT_CORPUS[name])
+        assert _outcome(f) == _loop_outcome(f)
+
+    def test_one_line_of_two_values_is_refused(self, tmp_path):
+        # a one-dimensional bulk result would read this line as two values
+        f = tmp_path / "p.txt"
+        f.write_text("0.1,0.2\n")
+        assert _outcome(f) == ("InputError", f"{f}:1: not a number: '0.1,0.2'")
+
+    def test_plain_values_take_the_bulk_path(self, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_bytes(PLAIN_TEXT_CORPUS["plain"])
+        assert histogram_core._bulk_parse(f) is not None
+        for name in ("comments", "two_values_comma_one_line", "negative", "empty"):
+            f.write_bytes(PLAIN_TEXT_CORPUS[name])
+            assert histogram_core._bulk_parse(f) is None, name
+
+    def test_generated_text_matches_the_loop(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        number = st.one_of(
+            st.floats(0.0, 1.0).map(repr),
+            st.floats(0.0, 1.0).map(lambda x: format(x, ".3e")),
+            st.floats(allow_nan=True).map(repr),
+        )
+        pad = st.sampled_from(["", " ", "\t", "\xa0"])
+        token = st.one_of(number, pad, st.sampled_from([",", "#", "-0", "1.", ".5", "+"]))
+        # mostly one padded number a line, so that many files take the bulk path
+        line = st.one_of(st.tuples(pad, number, pad).map("".join),
+                         st.tuples(number, st.sampled_from([",", " ", "\t"]), number).map("".join),
+                         st.lists(token, max_size=3).map("".join))
+        text = st.tuples(st.lists(line, max_size=5), st.sampled_from(["\n", "\r\n", "\r"]),
+                         st.booleans())
+        f = tmp_path / "p.txt"
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(text)
+        def check(case):
+            lines, newline, final = case
+            f.write_bytes((newline.join(lines) + (newline if final else "")).encode())
+            assert _outcome(f) == _loop_outcome(f)
+
+        check()

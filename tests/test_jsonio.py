@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,3 +47,30 @@ class TestDumps17:
     def test_known_rendering(self):
         assert dumps17(3 / (5 * 0.7)) == format(3 / (5 * 0.7), ".17g")
         assert not math.isnan(json.loads(dumps17(1e-300)))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.intp, np.int32, np.uint8])
+    def test_integer_arrays(self, dtype):
+        assert dumps17(np.array([0, 7, 200], dtype=dtype)) == "[0, 7, 200]"
+        assert dumps17({"i": np.arange(3, dtype=dtype) + 1}) == '{"i": [1, 2, 3]}'
+
+    def test_large_integers_stay_exact(self):
+        assert dumps17(np.array([2**62 + 1])) == f"[{2**62 + 1}]"
+
+    def test_empty_integer_array(self):
+        assert dumps17(np.array([], dtype=np.intp)) == "[]"
+
+    def test_float_and_bool_arrays_render_element_wise(self):
+        assert dumps17(np.array([0.1, np.nan, -np.inf, 2.0])) == "[0.10000000000000001, null, null, 2]"
+        assert dumps17(np.array([True, False])) == "[true, false]"
+
+    def test_numpy_non_finite_scalars_are_null_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dumps17([np.float64("inf"), np.float64("nan"), np.float64(-0.0)]) == "[null, null, -0]"
+
+    def test_keys_render_by_type(self):
+        # 1 == True, so a key cache must still tell them apart
+        assert dumps17({1: 0}) == '{"1": 0}'
+        assert dumps17({True: 0}) == '{"True": 0}'
+        assert dumps17({1: 0}) == '{"1": 0}'
+        assert dumps17({1.0: 0, "a\"b": 1}) == '{"1.0": 0, "a\\"b": 1}'
