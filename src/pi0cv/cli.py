@@ -18,8 +18,6 @@ import itertools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import sim_harness
 from .errors import (
     InputError,
@@ -54,8 +52,6 @@ def _emit(payload: dict, fmt: str, output: str | None) -> None:
         def cell(value):
             if isinstance(value, str):
                 return value
-            if isinstance(value, np.ndarray):
-                value = value.tolist()
             if isinstance(value, (list, tuple)):
                 return ";".join(map(str, value))
             return dumps17(value)
@@ -110,7 +106,7 @@ def cmd_mtp(args) -> int:
         "delta": result.delta,
         "k_hat": result.k_hat,
         "threshold": result.threshold,
-        "rejected_indices": mask.nonzero()[0] + base,
+        "rejected_indices": (mask.nonzero()[0] + base).tolist(),
     }
     _emit(payload, args.format, args.output)
     return EXIT_OK

@@ -187,10 +187,11 @@ def read_pvalue_file(path: str | Path, column: str | None = None) -> np.ndarray:
 def _bulk_parse(path: Path) -> np.ndarray | None:
     """Plain-text values parsed by ``np.loadtxt``, or None to fall back."""
     try:
-        with warnings.catch_warnings():
+        # numpy gets an open handle, never the path: given a path it would
+        # also try path.gz and friends and decompress them by extension
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")   # an empty file warns
-            table = np.loadtxt(path, dtype=float, comments=None, delimiter=",",
-                               ndmin=2, encoding="utf-8")
+            table = np.loadtxt(fh, dtype=float, comments=None, delimiter=",", ndmin=2)
     except (ValueError, OSError):   # what the C reader refuses, the loop decides
         return None
     # ndmin=2 keeps a one-line "0.1,0.2" as shape (1, 2), which the loop rejects

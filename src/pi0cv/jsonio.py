@@ -15,10 +15,11 @@ import numpy as np
 __all__ = ["dumps17"]
 
 
-# every record repeats the same few keys; typed, so 1 and True stay apart
-@functools.lru_cache(maxsize=1024, typed=True)
-def _key(k) -> str:
-    return json.dumps(str(k))
+# every record repeats the same few str keys; only str keys are cached, as
+# equal keys of other types can render differently (0.0 and -0.0)
+@functools.lru_cache(maxsize=1024)
+def _str_key(k: str) -> str:
+    return json.dumps(k)
 
 
 def _render(obj) -> str:
@@ -30,7 +31,9 @@ def _render(obj) -> str:
     if kind is int:
         return str(obj)
     if isinstance(obj, dict):
-        return "{" + ", ".join([f"{_key(k)}: {_render(v)}" for k, v in obj.items()]) + "}"
+        return "{" + ", ".join([
+            f"{_str_key(k) if type(k) is str else json.dumps(str(k))}: {_render(v)}"
+            for k, v in obj.items()]) + "}"
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if obj is None:
@@ -44,8 +47,6 @@ def _render(obj) -> str:
         return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu":
-        return "[" + ", ".join(map(str, obj.tolist())) + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = obj.tolist() if isinstance(obj, np.ndarray) else obj
         return "[" + ", ".join(_render(v) for v in seq) + "]"

@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import numpy as np
@@ -53,6 +54,15 @@ class TestEstimateCommand:
     def test_missing_file(self, capsys, tmp_path):
         code = main(["estimate", "--input", str(tmp_path / "nope.txt")])
         assert code == 3
+
+    def test_missing_file_beside_a_compressed_copy(self, capsys, tmp_path):
+        with gzip.open(tmp_path / "p.txt.gz", "wb") as gz:
+            gz.write(b"0.1\n0.2\n0.3\n")
+        code = main(["mtp", "--input", str(tmp_path / "p.txt"), "--pi0", "1.0"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "IOError"
+        assert err["message"].startswith("[Errno 2] No such file or directory")
 
     @pytest.mark.parametrize("data, column, line", [
         (b"0.1\n\xe9\n0.2\n", None, 2),

@@ -1,3 +1,5 @@
+import gzip
+
 import numpy as np
 import pytest
 
@@ -332,6 +334,19 @@ class TestBulkParse:
         for name in ("comments", "two_values_comma_one_line", "negative", "empty"):
             f.write_bytes(PLAIN_TEXT_CORPUS[name])
             assert histogram_core._bulk_parse(f) is None, name
+
+    def test_missing_file_is_not_read_from_a_compressed_neighbour(self, tmp_path):
+        f = tmp_path / "p.txt"
+        with gzip.open(tmp_path / "p.txt.gz", "wb") as gz:
+            gz.write(b"0.1\n0.2\n")
+        with pytest.raises(FileNotFoundError):
+            read_pvalue_file(f)
+
+    def test_compressed_file_is_read_as_text(self, tmp_path):
+        f = tmp_path / "p.txt.gz"
+        with gzip.open(f, "wb") as gz:
+            gz.write(b"0.1\n0.2\n")
+        assert _outcome(f) == _loop_outcome(f) == ("InputError", f"{f}:1: not valid UTF-8")
 
     def test_generated_text_matches_the_loop(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")

@@ -69,8 +69,10 @@ class TestDumps17:
             assert dumps17([np.float64("inf"), np.float64("nan"), np.float64(-0.0)]) == "[null, null, -0]"
 
     def test_keys_render_by_type(self):
-        # 1 == True, so a key cache must still tell them apart
+        # equal keys can render differently, so a key cache must tell them apart
         assert dumps17({1: 0}) == '{"1": 0}'
         assert dumps17({True: 0}) == '{"True": 0}'
         assert dumps17({1: 0}) == '{"1": 0}'
+        assert dumps17({0.0: 0}) == '{"0.0": 0}'
+        assert dumps17({-0.0: 0}) == '{"-0.0": 0}'
         assert dumps17({1.0: 0, "a\"b": 1}) == '{"1.0": 0, "a\\"b": 1}'
