@@ -53,7 +53,7 @@ def _emit(payload: dict, fmt: str, output: str | None) -> None:
             if isinstance(value, str):
                 return value
             if isinstance(value, (list, tuple)):
-                return ";".join(map(str, value))
+                return ";".join(str(v) for v in value)
             return dumps17(value)
         lines = [f"{key},{cell(value)}" for key, value in payload.items()]
         _write("\n".join(lines) + "\n", output)
