@@ -9,6 +9,7 @@ which also receives values equal to 1.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -168,8 +169,9 @@ def read_pvalue_file(path: str | Path, column: str | None = None) -> np.ndarray:
 
     Plain text is first parsed in bulk by numpy's C reader.  Its result is
     kept only when it is one column of at least one value, every value in
-    [0, 1]; anything else (a '#' line, a whitespace-only line, two values
-    on a line, an unparsable or out-of-range value, an empty file) is read
+    [0, 1]; anything else (a '#' or whitespace-only line after the first
+    value, two values on a line, an unparsable or out-of-range value, an
+    empty file) is read
     again by the line-by-line reader, which alone accepts unusual input and
     words every error, so both paths give the same values and messages.
     """
@@ -191,7 +193,10 @@ def _bulk_parse(path: Path) -> np.ndarray | None:
         # also try path.gz and friends and decompress them by extension
         with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
             warnings.simplefilter("ignore")   # an empty file warns
-            table = np.loadtxt(fh, dtype=float, comments=None, delimiter=",", ndmin=2)
+            # read past the leading lines the loop skips; numpy refuses any later one
+            first = next((line for line in fh if not _skipped(line)), "")
+            table = np.loadtxt(itertools.chain([first], fh), dtype=float, comments=None,
+                               delimiter=",", ndmin=2)
     except (ValueError, OSError):   # what the C reader refuses, the loop decides
         return None
     # ndmin=2 keeps a one-line "0.1,0.2" as shape (1, 2), which the loop rejects
@@ -202,6 +207,12 @@ def _bulk_parse(path: Path) -> np.ndarray | None:
     if not np.all((values >= 0.0) & (values <= 1.0)):
         return None
     return values
+
+
+def _skipped(line: str) -> bool:
+    """A plain-text line that ``_read_lines`` skips: blank, or a '#' comment."""
+    text = line.strip()
+    return not text or text.startswith("#")
 
 
 def _read_lines(path: Path, column: str | None) -> np.ndarray:

@@ -395,15 +395,16 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _grid_sums(cum, m: int, out=None):
-    """Fill and return ``out`` (four new arrays by default): one grid's counts
-    ``cum`` and the prefix sums of its cell masses, their squares and cubes."""
-    out = out or [np.empty(len(cum)) for _ in range(4)]
-    out[0][:] = cum
-    ac = np.diff(cum) / m
+def _grid_sums(cum, m: int):
+    """Four new arrays: the counts ``cum`` of one grid, or of grids laid out
+    as rows, and the prefix sums along each row of its cell masses, their
+    squares and cubes."""
+    out = [np.empty(cum.shape) for _ in range(4)]
+    out[0][...] = cum
+    ac = np.diff(cum, axis=-1) / m
     for pref, power in zip(out[1:], (ac, ac * ac, ac * ac * ac)):
-        pref[0] = 0.0
-        np.cumsum(power, out=pref[1:])
+        pref[..., 0] = 0.0
+        np.cumsum(power, axis=-1, out=pref[..., 1:])
     return out
 
 

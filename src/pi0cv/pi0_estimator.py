@@ -17,16 +17,45 @@ itself is ``risk.min()`` and the partitions that tie with it; the tie-break
 order above is applied by sorting only that tie set, and then only the band,
 never the whole family.
 
-The scan is vectorised in two stages.  Per grid N the cell counts and their
-power prefix sums cost O(m + N) once, after which every (k, l) pair costs
-O(1).  The per-partition stage (``lpo_risk._score``) then runs over blocks
-of the family: block-sized temporaries stay in cache and the allocator
-recycles them between blocks and calls, where family-length ones would be
-faulted in afresh on every call.  Every operation is elementwise, so the
-blocks return the same bits as one pass over the whole family.  The scan
-ranks, keeping one risk per partition; the re-score explains the pick:
-``_rescore`` runs the same kernel on one partition from the scan's per-grid
-sums, for the argmin's SE and the winner's central count and p_hat.
+The scan is vectorised in two stages.  The cell counts of every grid N and
+their power prefix sums cost O(m + N) per grid, built for all grids at once
+as the rows of one padded array, after which every (k, l) pair costs O(1).
+The per-partition stage (``lpo_risk._score``) then runs over blocks of the
+family: block-sized temporaries stay in cache and the allocator recycles
+them between blocks and calls, where family-length ones would be faulted in
+afresh on every call.  Every operation is elementwise, so the blocks return
+the same bits as one pass over the whole family.  The scan ranks, keeping
+one risk per partition; the re-score explains the pick: ``_rescore`` runs
+the same kernel on one partition from the scan's sums, for the argmin's SE
+and the winner's central count and p_hat.
+
+lpo scores the holdout only where a partition can still win.  Its risk is
+
+    R_p = [s11 - m s21 + m (s11 - s21) / (m - p)] / (m - 1),
+
+and s11 - s21 = sum_k alpha_k (1 - alpha_k) / w_k >= 0, so R_p grows with p
+and loo's R_1, read from the same s11 and s21, bounds every partition's
+R_p from below.  The scan scores the family at p = 1, which is loo's whole
+scan; lpo then scores at the holdout the partitions whose R_1 is within
+the margin of T0, the lpo risk of R_1's argmin, which holds every lpo
+argmin and all that tie with it, and ``estimate_pi0`` adds those within
+the margin of the SE band's upper edge.  The family array holds the lpo
+risk where it was scored and R_1 elsewhere, so its minimum, tie set and
+band are the full scan's, bit for bit.
+
+The margin bounds how far the computed R_1 can exceed the computed R_p.
+Write R_p = (A s11 - B s21) / D with A = 2m - p, B = m (m - p + 1) and
+D = (m - 1)(m - p).  It is rounded at most six times: the two products,
+the difference, the quotient, and B and D themselves once past 2^53.  So
+with u = 2^-53 its error is at most u (4 A s11 + 5 B s21) / D.  On
+1 <= p <= m - 1, A/D <= 3 and B/D <= 4, and s21 <= s11 <= N, as every cell
+is at least 1/N wide and the masses sum to 1.  Each risk is thus within
+32 u N of its value on the computed sums, and R_1 - R_p within
+64 u N = 32 eps N.  That takes the computed s11 >= s21: they are equal bit
+for bit when all mass lies in one cell, and otherwise differ by at least
+(m - 1)/m^2, above their rounding (some 6 N^2 u) for m below 1e11 at
+N = 100.  The margin is 64 eps n_max, twice the bound, and the tests check
+it against the computed R_1 - R_p of whole families.
 """
 
 from __future__ import annotations
@@ -93,35 +122,37 @@ class Pi0Estimate:
 
 
 class _SearchTables:
-    """Sample-independent index tables for one (n_min, n_max) range."""
+    """Sample-independent index tables for one (n_min, n_max) range.
+
+    Row g of ``edges`` holds the edges k/N, k < N, of grid N = n_min + g,
+    then +inf up to column n_max.  An edge of +inf counts the whole sample:
+    at k = N that is the count the right-closed last cell needs, and past it
+    the padding reads count m and adds cells of mass 0, so every row's
+    prefix sums are its grid's.  ``idx_k``, ``idx_l`` and ``idx_n`` index a
+    partition's edges k, l and N in the flattened rows.
+    """
 
     def __init__(self, n_min: int, n_max: int):
-        ns, ks, ls, idx_k, idx_l, idx_n = [], [], [], [], [], []
-        offset = 0
-        self.grid = list(range(n_min, n_max + 1))
-        self.edges = [np.arange(n + 1) / n for n in self.grid]
-        self.offsets = {}
-        for n in self.grid:
+        ns, ks, ls = [], [], []
+        for n in range(n_min, n_max + 1):
             kk, ll = np.triu_indices(n + 1, k=1)
-            kk = kk.astype(np.int64)
-            ll = ll.astype(np.int64)
             ns.append(np.full(kk.size, n, dtype=np.int64))
-            ks.append(kk)
-            ls.append(ll)
-            idx_k.append(offset + kk)
-            idx_l.append(offset + ll)
-            idx_n.append(np.full(kk.size, offset + n, dtype=np.int64))
-            self.offsets[n] = offset
-            offset += n + 1
-        self.cum_len = offset
+            ks.append(kk.astype(np.int64))
+            ls.append(ll.astype(np.int64))
+        grid = np.arange(n_min, n_max + 1)[:, None]
+        cols = np.arange(n_max + 1)
+        self.edges = np.where(cols < grid, cols / grid, np.inf)
         self.N = np.concatenate(ns)
         self.K = np.concatenate(ks)
         self.L = np.concatenate(ls)
-        self.idx_k = np.concatenate(idx_k)
-        self.idx_l = np.concatenate(idx_l)
-        self.idx_n = np.concatenate(idx_n)
+        row = (self.N - n_min) * (n_max + 1)
+        self.idx_k = row + self.K
+        self.idx_l = row + self.L
+        self.idx_n = row + self.N
         self.Nf = self.N.astype(float)
         self.W = (self.L - self.K) / self.Nf
+        # bound on computed R_1 - R_p; see the module docstring
+        self.margin = 64 * np.finfo(float).eps * n_max
 
 
 _tables_cache: dict[tuple[int, int], _SearchTables] = {}
@@ -135,22 +166,30 @@ def _tables(n_min: int, n_max: int) -> _SearchTables:
 
 
 def _scan(sample: PValueSample, tab: _SearchTables, adaptive_p: bool):
-    """Vectorised risk scan: the risk of every partition, and the per-grid
-    sums it was scored from."""
+    """Vectorised risk scan: one risk per partition, and the grids' prefix
+    sums it was scored from.  Every partition is scored at p = 1; with
+    ``adaptive_p``, those whose R_1 is within the margin of T0 again at
+    their holdout (see the module docstring)."""
     m = sample.m
-    sums = [np.empty(tab.cum_len) for _ in range(4)]
-    for n, edges in zip(tab.grid, tab.edges):
-        off = tab.offsets[n]
-        c = np.searchsorted(sample.values, edges, side="left")
-        c[-1] = m
-        _grid_sums(c, m, [a[off:off + n + 1] for a in sums])
-
+    sums = _grid_sums(np.searchsorted(sample.values, tab.edges, side="left"), m)
     risk = np.empty(tab.N.size)
     for lo in range(0, risk.size, _BLOCK):
         blk = slice(lo, lo + _BLOCK)
         risk[blk] = _score(m, sums, tab.idx_k[blk], tab.idx_l[blk], tab.idx_n[blk],
-                           tab.Nf[blk], tab.W[blk], adaptive_p)[-1]
+                           tab.Nf[blk], tab.W[blk], adaptive_p=False)[-1]
+    if adaptive_p:
+        # a non-finite R_1 never wins, so it cannot set T0
+        t0 = _rescore(m, sums, tab, np.where(np.isfinite(risk), risk, np.inf).argmin())[2]
+        _lpo_at(m, sums, tab, risk, np.flatnonzero(risk <= t0 + tab.margin))
     return risk, sums
+
+
+def _lpo_at(m: int, sums, tab: _SearchTables, risk: np.ndarray, rows: np.ndarray):
+    """Overwrite ``risk`` with the lpo risk of the partitions ``rows``."""
+    for lo in range(0, rows.size, _BLOCK):
+        j = rows[lo:lo + _BLOCK]
+        risk[j] = _score(m, sums, tab.idx_k[j], tab.idx_l[j], tab.idx_n[j],
+                         tab.Nf[j], tab.W[j], adaptive_p=True)[-1]
 
 
 def _rescore(m: int, sums, tab: _SearchTables, j: int):
@@ -195,6 +234,8 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
         _, p, _, coeffs = _rescore(m, sums, tab, j)
         se = np.sqrt(max(float(selection_mse(coeffs, p if lpo else 1.0)[0]), 0.0))
         band = risk[j] + cfg.se_band * (se if np.isfinite(se) else 0.0)
+        if lpo:
+            _lpo_at(m, sums, tab, risk, np.flatnonzero(risk <= band + tab.margin))
         j = _first_by_shape(tab, np.flatnonzero(risk <= band))
 
     cc, p_hat, _, _ = _rescore(m, sums, tab, j)

@@ -246,9 +246,16 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS, alpha: float = 0.1
                         valid=not any(r.failed for r in replicates))
 
 
+_SCENARIO_KEYS = ("kind", "pi0", "m", "reps", "seed", "s", "lambda_star", "a", "b", "sd",
+                 "alpha")
+
+
 def parse_scenario_file(path: str | Path) -> tuple[ScenarioSpec, float]:
-    """Flat key = value scenario format; '#' comments; returns (spec, alpha)."""
-    fields: dict[str, str] = {}
+    """Flat key = value scenario format; '#' comments; returns (spec, alpha).
+
+    An unknown key, or a value that does not parse as its key's type, raises
+    InputError citing the line."""
+    fields: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -257,30 +264,37 @@ def parse_scenario_file(path: str | Path) -> tuple[ScenarioSpec, float]:
             if "=" not in text:
                 raise InputError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = text.partition("=")
-            fields[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _SCENARIO_KEYS:
+                raise InputError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"valid keys: {', '.join(_SCENARIO_KEYS)}")
+            fields[key] = (value.strip(), lineno)
     if "kind" not in fields:
         raise InputError(f"{path}: missing 'kind'; valid kinds: {', '.join(KINDS)}")
 
-    def _f(key):
-        return float(fields[key]) if key in fields else None
-
-    def _i(key, default=None):
-        return int(fields[key]) if key in fields else default
+    def _get(key, parse, default=None):
+        if key not in fields:
+            return default
+        value, lineno = fields[key]
+        try:
+            return parse(value)
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            raise InputError(f"{path}:{lineno}: {key} must be {kind}, got {value!r}") from None
 
     spec = ScenarioSpec(
-        kind=fields["kind"],
-        pi0=float(fields.get("pi0", "1.0")),
-        m=_i("m", 1000),
-        reps=_i("reps", 1),
-        seed=_i("seed", 0),
-        s=_f("s"),
-        lambda_star=_f("lambda_star"),
-        a=_f("a"),
-        b=_f("b"),
-        sd=_f("sd"),
+        kind=fields["kind"][0],
+        pi0=_get("pi0", float, 1.0),
+        m=_get("m", int, 1000),
+        reps=_get("reps", int, 1),
+        seed=_get("seed", int, 0),
+        s=_get("s", float),
+        lambda_star=_get("lambda_star", float),
+        a=_get("a", float),
+        b=_get("b", float),
+        sd=_get("sd", float),
     )
-    alpha = float(fields.get("alpha", "0.15"))
-    return spec, alpha
+    return spec, _get("alpha", float, 0.15)
 
 
 def _g(x: float) -> str:

@@ -268,6 +268,30 @@ class TestSimulateCommand:
         assert code == 3
         assert "beta_tail" in err and "ushape" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("m = abc", ":4: m must be an integer, got 'abc'"),
+        ("m = 1e3", ":4: m must be an integer, got '1e3'"),
+        ("alpha = x", ":4: alpha must be a number, got 'x'"),
+        ("rep = 500", ":4: unknown key 'rep'; valid keys: kind, pi0, m, reps,"),
+    ], ids=["int", "int_exponent", "float", "unknown_key"])
+    def test_bad_scenario_line_exits_3(self, tmp_path, capsys, monkeypatch, line, message):
+        import pi0cv.sim_harness as sim
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "draw_sample", no_replicates)
+        conf = tmp_path / "s.conf"
+        conf.write_text(f"kind = beta_tail\npi0 = 0.8\n# comment\n{line}\ns = 20\n")
+        code = main(["simulate", "--scenario", str(conf)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        err = json.loads(captured.err)
+        assert err["error"] == "InputError"
+        assert err["message"].startswith(str(conf) + message)
+
     def test_negative_delta_is_usage_error(self, capsys, monkeypatch):
         import pi0cv.sim_harness as sim
 

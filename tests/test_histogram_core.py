@@ -285,6 +285,7 @@ PLAIN_TEXT_CORPUS = {
     "whitespace_only_line": b"0.1\n  \t \n0.2\n",
     "blank_last_line": b"0.1\n0.2\n\n",
     "comments": b"# header\n0.1\n0.2\n# tail\n",
+    "header_only": "# header\n\n \xa0\n  # second\n0.1\n0.2\n".encode(),
     "trailing_comment": b"0.1 # c\n",
     "underscore": b"1_000\n",
     "underscore_in_range": b"0.000_5\n0.2\n",
@@ -329,8 +330,9 @@ class TestBulkParse:
 
     def test_plain_values_take_the_bulk_path(self, tmp_path):
         f = tmp_path / "p.txt"
-        f.write_bytes(PLAIN_TEXT_CORPUS["plain"])
-        assert histogram_core._bulk_parse(f) is not None
+        for name in ("plain", "header_only"):
+            f.write_bytes(PLAIN_TEXT_CORPUS[name])
+            assert histogram_core._bulk_parse(f) is not None, name
         for name in ("comments", "two_values_comma_one_line", "negative", "empty"):
             f.write_bytes(PLAIN_TEXT_CORPUS[name])
             assert histogram_core._bulk_parse(f) is None, name

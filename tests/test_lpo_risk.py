@@ -544,21 +544,23 @@ class TestEvaluatePartition:
         assert rec["N"] == 3 and rec["k"] == 1 and rec["l"] == 3
 
     def test_grid_records_carry_the_search_values_bit_for_bit(self):
-        from pi0cv.lpo_risk import _score
+        from family_oracle import full_family
         from pi0cv.pi0_estimator import _scan, _tables
 
         rng = np.random.default_rng(23)
         sample = load_sample(np.where(rng.random(1000) < 0.8, rng.random(1000),
                                       rng.beta(1, 20, 1000)))
         tab = _tables(1, 100)
-        risk, sums = _scan(sample, tab, adaptive_p=True)
-        # the scan keeps only the risk; its kernel over the whole family gives
-        # the p_hat each risk was scored at
-        phat = _score(sample.m, sums, tab.idx_k, tab.idx_l, tab.idx_n, tab.Nf, tab.W, True)[2]
+        full = full_family(sample, tab, adaptive_p=True)
         records = [rec for n in range(1, 101) for rec in grid_diagnostics(sample, n)]
         assert [(r["N"], r["k"], r["l"]) for r in records] == \
                [(spec.n, spec.k, spec.l) for spec in enumerate_partitions(1, 100)]
-        assert np.array_equal(np.array([r["p_hat"] for r in records], dtype=float), phat)
+        assert np.array_equal(np.array([r["p_hat"] for r in records], dtype=float), full.p_hat)
         # compared as integers, so NaN payloads and signed zeros count
-        assert np.array_equal(np.array([r["risk"] for r in records]).view(np.int64),
-                              risk.view(np.int64))
+        risk = np.array([r["risk"] for r in records])
+        assert np.array_equal(risk.view(np.int64), full.risk.view(np.int64))
+        # the search's lpo risks, where it scored them, are the records'
+        scan = _scan(sample, tab, adaptive_p=True)[0]
+        scored = scan.view(np.int64) == risk.view(np.int64)
+        assert scored[scan == scan.min()].all()
+        assert (scan[~scored] == full.loo[~scored]).all()

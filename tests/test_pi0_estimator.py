@@ -14,6 +14,8 @@ from pi0cv.pi0_estimator import (
 )
 from pi0cv.sim_harness import ScenarioSpec, replicate_rng, sample_trunc_beta
 
+from family_oracle import full_family
+
 
 def _fsum_risk(sample, spec, p=None):
     """Risk of one partition through the fsum moment-sum chain, an
@@ -189,8 +191,11 @@ class TestEstimateProperties:
         rng = np.random.default_rng(48)
         sample = load_sample(rng.random(60) ** 1.3)
         tab = _tables(1, 10)
-        risk, sums = _scan(sample, tab, adaptive_p=True)
-        cc, phat = np.array([_rescore(sample.m, sums, tab, j)[:2] for j in range(risk.size)]).T
+        # the scan keeps the lpo risk of its candidates only; the kernel
+        # scores every partition alone from the scan's sums
+        _, sums = _scan(sample, tab, adaptive_p=True)
+        cc, phat, risk = np.array([_rescore(sample.m, sums, tab, j)[:3]
+                                   for j in range(tab.N.size)]).T
         for idx, spec in enumerate(enumerate_partitions(1, 10)):
             counts = bin_counts(grid_prefix(sample, spec.n), spec)
             mc = mse_coefficients(moment_sums(counts, spec), sample.m)
@@ -256,52 +261,110 @@ def _selection_samples():
 
 
 class TestSelectionOracle:
-    def _check(self, sample, method, se_band, scan):
+    def _check(self, sample, method, se_bands, holes=()):
+        """estimate_pi0 at each of ``se_bands`` against the lexsort selection
+        over the unpruned family, whose risks at the indices ``holes`` are
+        replaced by the paired values."""
         from pi0cv.pi0_estimator import _tables
 
         tab = _tables(1, 100)
-        risk, _ = scan(sample, tab, method == "lpo")
-        cc, phat, _, mse_at_p = _unblocked_scan(sample, tab, method == "lpo")
-        j = _lexsort_selection(tab, risk, mse_at_p, se_band)
-        est = estimate_pi0(sample, EstimatorConfig(method=method, se_band=se_band))
-        assert (est.n_hat, est.lambda_hat, est.mu_hat) == \
-               (tab.N[j], tab.K[j] / tab.N[j], tab.L[j] / tab.N[j])
-        assert est.p_hat == int(phat[j])
-        assert est.risk == float(risk[j])
-        assert est.pi0_raw == cc[j] / (sample.m * tab.W[j])
-        return est
+        full = full_family(sample, tab, method == "lpo")
+        risk = full.risk.copy()
+        for j, value in holes:
+            risk[j] = value
+        for se_band in se_bands:
+            j = _lexsort_selection(tab, risk, full.mse, se_band)
+            est = estimate_pi0(sample, EstimatorConfig(method=method, se_band=se_band))
+            assert (est.n_hat, est.lambda_hat, est.mu_hat) == \
+                   (tab.N[j], tab.K[j] / tab.N[j], tab.L[j] / tab.N[j])
+            assert est.p_hat == int(full.p_hat[j])
+            assert est.risk == float(risk[j])
+            assert est.pi0_raw == full.cc[j] / (sample.m * tab.W[j])
+            assert np.isfinite(est.risk)
+        return full
 
     @pytest.mark.parametrize("se_band", [0.0, 0.25])
     @pytest.mark.parametrize("method", ["lpo", "loo"])
     @pytest.mark.parametrize("name", sorted(_selection_samples()))
     def test_matches_full_lexsort(self, name, method, se_band):
-        from pi0cv.pi0_estimator import _scan
-
-        self._check(load_sample(_selection_samples()[name]), method, se_band, _scan)
+        self._check(load_sample(_selection_samples()[name]), method, (se_band,))
 
     @pytest.mark.parametrize("se_band", [0.0, 0.25])
     def test_non_finite_risks_are_ignored(self, monkeypatch, se_band):
+        # the kernel returns NaN or an infinity for the true argmin and a
+        # spread of other partitions, at p = 1 and at their holdout alike
         import pi0cv.pi0_estimator as mod
 
-        real_scan = mod._scan
-
-        def scan_with_holes(sample, tab, adaptive_p):
-            # spoil the true argmin and a spread of other partitions
-            risk, sums = real_scan(sample, tab, adaptive_p)
-            best = np.argsort(risk, kind="stable")[:3]
-            risk[best] = [np.nan, -np.inf, np.inf]
-            risk[::7] = np.nan
-            risk[3::11] = -np.inf
-            risk[5::13] = np.inf
-            return risk, sums
-
-        monkeypatch.setattr(mod, "_scan", scan_with_holes)
+        real_score = mod._score
+        tab = mod._tables(1, 100)
+        keys = tab.idx_k * 2**20 + tab.idx_l        # increasing along the family
         rng = np.random.default_rng(62)
         sample = load_sample(np.where(rng.random(1000) < 0.7, rng.random(1000),
                                       rng.beta(1, 10, 1000)))
         for method in ("lpo", "loo"):
-            est = self._check(sample, method, se_band, scan_with_holes)
-            assert np.isfinite(est.risk)
+            hole = np.zeros(tab.N.size)
+            best = np.argsort(full_family(sample, tab, method == "lpo").risk, kind="stable")[:3]
+            hole[best] = [np.nan, -np.inf, np.inf]
+            hole[::7] = np.nan
+            hole[3::11] = -np.inf
+            hole[5::13] = np.inf
+
+            def score_with_holes(m, sums, ik, il, *args, **kwargs):
+                *rest, risk = real_score(m, sums, ik, il, *args, **kwargs)
+                h = hole[np.searchsorted(keys, ik * 2**20 + il)]
+                return (*rest, np.where(h == 0, risk, h))
+
+            monkeypatch.setattr(mod, "_score", score_with_holes)
+            spoiled = np.flatnonzero(hole)
+            self._check(sample, method, (se_band,), zip(spoiled, hole[spoiled]))
+
+    def test_generated_samples_match_full_lexsort(self):
+        # the pruned search against the unpruned family on samples with
+        # values on grid edges, ties, all mass at 0 or 1, and m = 2 or 3
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        from pi0cv.pi0_estimator import _tables
+
+        tab = _tables(1, 100)
+        edge = st.integers(1, 100).flatmap(lambda n: st.integers(0, n).map(lambda k: k / n))
+        value = st.one_of(edge, st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+        samples = st.one_of(
+            st.lists(value, min_size=2, max_size=3),
+            st.lists(value, min_size=2, max_size=400),
+            st.lists(edge, min_size=1, max_size=4).flatmap(
+                lambda pool: st.lists(st.sampled_from(pool), min_size=2, max_size=400)),
+            st.tuples(st.integers(0, 60), st.integers(0, 60)).filter(lambda ab: sum(ab) >= 2)
+              .map(lambda ab: [0.0] * ab[0] + [1.0] * ab[1]),
+        )
+
+        @hypothesis.settings(max_examples=20, deadline=None)
+        @hypothesis.given(samples)
+        def check(raw):
+            sample = load_sample(raw)
+            full = self._check(sample, "lpo", (0.0, 0.25, 1.0))
+            assert (full.loo - full.risk).max() <= tab.margin
+            self._check(sample, "loo", (0.0, 0.25, 1.0))
+
+        check()
+
+    @pytest.mark.parametrize("method", ["lpo", "loo"])
+    def test_million_values_match_full_lexsort(self, method):
+        rng = np.random.default_rng(67)
+        sample = load_sample(np.where(rng.random(1_000_000) < 0.9, rng.random(1_000_000),
+                                      rng.beta(1, 50, 1_000_000)))
+        self._check(sample, method, (0.0, 0.25, 1.0))
+
+    def test_loo_risk_is_a_lower_bound_within_the_margin(self):
+        # R_p - R_1 = m (s11 - s21) (p - 1) / ((m - 1)^2 (m - p)) >= 0; the
+        # computed values may break it only by rounding, within the margin
+        from pi0cv.pi0_estimator import _tables
+
+        tab = _tables(1, 100)
+        rng = np.random.default_rng(68)
+        samples = dict(_selection_samples(), m1000000=rng.random(1_000_000) ** 3)
+        for name, raw in samples.items():
+            full = full_family(load_sample(raw), tab, True)
+            assert (full.loo - full.risk).max() <= tab.margin, name
 
     def test_sorts_only_the_tie_set_and_the_band(self, monkeypatch):
         from pi0cv.pi0_estimator import _tables
@@ -322,63 +385,6 @@ class TestSelectionOracle:
             estimate_pi0(sample, EstimatorConfig(se_band=se_band))
             assert sorted_sizes
             assert max(sorted_sizes) < family
-
-
-def _unblocked_scan(sample, tab, adaptive_p):
-    """``_scan`` as it was before the family was split into blocks: every
-    temporary spans the whole family.  Kept as the oracle for the blocked
-    scan, which must return the same bits, and for the SE: its fourth array
-    is the selection MSE of every partition at its holdout."""
-    from pi0cv.lpo_risk import _holdout, _mse_polynomial, _risk_from_sums, selection_mse
-
-    values = sample.values
-    m = sample.m
-    cum = np.empty(tab.cum_len)
-    pref1 = np.empty(tab.cum_len)
-    pref2 = np.empty(tab.cum_len)
-    pref3 = np.empty(tab.cum_len)
-    for n in tab.grid:
-        off = tab.offsets[n]
-        edges = np.arange(n + 1) / n
-        c = np.searchsorted(values, edges, side="left").astype(float)
-        c[-1] = m
-        cum[off:off + n + 1] = c
-        ac = np.diff(c) / m
-        pref1[off] = pref2[off] = pref3[off] = 0.0
-        np.cumsum(ac, out=pref1[off + 1:off + n + 1])
-        np.cumsum(ac * ac, out=pref2[off + 1:off + n + 1])
-        np.cumsum(ac * ac * ac, out=pref3[off + 1:off + n + 1])
-
-    cc = cum[tab.idx_l] - cum[tab.idx_k]
-    ac = cc / m
-    ac2 = ac * ac
-    wc, nf = tab.W, tab.Nf
-    wc2, n2 = wc * wc, nf * nf
-    tmp = np.empty_like(ac)
-
-    def outer(pref):
-        out = pref[tab.idx_k]
-        out += pref[tab.idx_n]
-        out -= pref[tab.idx_l]
-        return out
-
-    s11 = outer(pref1)
-    s21 = outer(pref2)
-    s12 = s11 * n2
-    s12 += np.divide(ac, wc2, out=tmp)
-    s22 = s21 * n2
-    s22 += np.divide(ac2, wc2, out=tmp)
-    s11 *= nf
-    s11 += np.divide(ac, wc, out=tmp)
-    s21 *= nf
-    s21 += np.divide(ac2, wc, out=tmp)
-    s32 = outer(pref3)
-    s32 *= n2
-    s32 += np.divide(np.power(ac, 3, out=tmp), wc2, out=tmp)
-
-    coeffs = _mse_polynomial(m, s11, s21, s12, s22, s32)
-    phat = _holdout(coeffs)[0] if adaptive_p else np.ones_like(s11)
-    return cc, phat, _risk_from_sums(s11, s21, m, phat), selection_mse(coeffs, phat)
 
 
 def _first_partitions(tab, size):
@@ -406,6 +412,8 @@ class TestBlockedScan:
     @pytest.mark.parametrize("family", [(1, 1), (1, 5), "one_block", "one_block_plus_one",
                                         (1, 100)], ids=str)
     def test_bit_identical_to_unblocked_scan(self, family, adaptive_p):
+        # compared with the unpruned family: loo's scan is its R_1; lpo's
+        # holds the lpo risk or R_1, with lpo's minimum and ties
         from pi0cv.lpo_risk import selection_mse
         from pi0cv.pi0_estimator import _BLOCK, _first_by_shape, _rescore, _scan
 
@@ -421,22 +429,26 @@ class TestBlockedScan:
         for name, raw in samples.items():
             sample = load_sample(raw)
             risk, sums = _scan(sample, tab, adaptive_p)
-            cc, phat, want_risk, mse_at_p = _unblocked_scan(sample, tab, adaptive_p)
+            full = full_family(sample, tab, adaptive_p)
             assert risk.shape == (tab.N.size,), name
-            np.testing.assert_array_equal(risk.view(np.uint64), want_risk.view(np.uint64),
-                                          err_msg=f"{name}: risk")
+            bits = risk.view(np.uint64)
+            exact = bits == full.risk.view(np.uint64)
+            np.testing.assert_array_equal(bits[~exact], full.loo.view(np.uint64)[~exact],
+                                          err_msg=f"{name}: neither lpo nor loo risk")
+            assert not (~exact).any() or risk[~exact].min() > full.risk.min(), name
+            np.testing.assert_array_equal(np.flatnonzero(risk == risk.min()),
+                                          np.flatnonzero(full.risk == full.risk.min()),
+                                          err_msg=f"{name}: tie set")
             # the re-score gives the adaptive holdout and its risk for either
             # method, and the SE at the method's own holdout
-            lpo_phats, lpo_risks = ((phat, want_risk) if adaptive_p
-                                   else _unblocked_scan(sample, tab, True)[1:3])
-            finite = np.where(np.isfinite(risk), risk, np.inf)
-            jmin = _first_by_shape(tab, np.flatnonzero(finite == finite.min()))
+            lpo = full if adaptive_p else full_family(sample, tab, True)
+            jmin = _first_by_shape(tab, np.flatnonzero(risk == risk.min()))
             for j in {int(jmin), 0, tab.N.size - 1, *range(0, tab.N.size, 997)}:
                 got_cc, got_p, got_risk, coeffs = _rescore(sample.m, sums, tab, j)
                 mse = selection_mse(coeffs, got_p if adaptive_p else 1.0)[0]
-                for field, got, want in (("cc", got_cc, cc[j]), ("p_hat", got_p, lpo_phats[j]),
-                                         ("risk", got_risk, lpo_risks[j]),
-                                         ("mse", mse, mse_at_p[j])):
+                for field, got, want in (("cc", got_cc, full.cc[j]), ("p_hat", got_p, lpo.p_hat[j]),
+                                         ("risk", got_risk, lpo.risk[j]),
+                                         ("mse", mse, full.mse[j])):
                     assert same_bits(got, want), (name, j, field)
 
     @pytest.mark.parametrize("method", ["lpo", "loo"])
