@@ -223,12 +223,16 @@ def _read_lines(path: Path, column: str | None) -> np.ndarray:
         if comments:
             rows = enumerate(fh, start=1)
         else:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or column not in reader.fieldnames:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or column not in header:
                 raise InputError(f"{path}: no column named {column!r}")
+            # as in csv.DictReader: a repeated name means its last field, and
+            # a row too short to reach it (a blank row too) reads as blank
+            at = len(header) - 1 - header[::-1].index(column)
             # line_num is the physical line a record ends on, which counts
             # the lines of quoted fields that span several and of blank rows
-            rows = ((reader.line_num, row[column] or "") for row in reader)
+            rows = ((reader.line_num, row[at]) for row in reader if len(row) > at)
         for lineno, text in rows:
             text = text.strip()
             if not text or (comments and text.startswith("#")):

@@ -133,11 +133,10 @@ def error_metrics(result: MtpResult, labels) -> ErrorMetrics:
         raise LengthMismatch(f"{labels.size} labels for m={result.m}")
     rej = np.zeros(result.m, dtype=bool)
     rej[result.rejected] = True
-    fp = int((rej & labels).sum())
-    r = int(rej.sum())
-    alts = ~labels
-    n_alt = int(alts.sum())
-    missed = int((~rej & alts).sum())
+    r = int(np.count_nonzero(rej))
+    fp = int(np.count_nonzero(rej & labels))
+    n_alt = result.m - int(np.count_nonzero(labels))
+    missed = n_alt - (r - fp)
     return ErrorMetrics(fdp=fp / max(r, 1), fnr=missed / max(n_alt, 1), fp=fp, r=r)
 
 

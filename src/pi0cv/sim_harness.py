@@ -39,7 +39,10 @@ __all__ = [
     "summary_json_dict",
 ]
 
-KINDS = ("beta_tail", "trunc_beta", "ushape")
+# the optional ScenarioSpec fields each kind reads; it refuses any other
+KIND_FIELDS = {"beta_tail": ("s",), "trunc_beta": ("s", "lambda_star"),
+               "ushape": ("a", "b", "sd")}
+KINDS = tuple(KIND_FIELDS)
 USHAPE_NULL_SD = math.sqrt(2.5e-2)
 DEFAULT_METHODS = ("lpo", "loo", "storey")
 
@@ -66,6 +69,9 @@ class ScenarioSpec:
             raise InputError("m must be >= 2")
         if self.reps < 1:
             raise InputError("reps must be >= 1")
+        for name in ("s", "lambda_star", "a", "b", "sd"):
+            if getattr(self, name) is not None and name not in KIND_FIELDS[self.kind]:
+                raise InputError(f"kind {self.kind} does not use {name}")
         if self.kind in ("beta_tail", "trunc_beta"):
             if self.s is None or self.s <= 0:
                 raise InputError(f"kind {self.kind} needs a beta shape s > 0")
@@ -131,9 +137,37 @@ def normal_cdf(x) -> np.ndarray:
 
 
 def _assemble(values: np.ndarray, nulls: np.ndarray) -> tuple[PValueSample, np.ndarray]:
-    order = np.argsort(values, kind="stable")
-    sample = PValueSample(values=values[order], m=int(values.size))
-    return sample, nulls[order]
+    """The sorted sample and its null labels, as a stable argsort gives them.
+
+    The null and alternative values are sorted apart and merged, each
+    alternative placed after the nulls it does not undercut.  That equals
+    the stable argsort bit for bit unless a run of tied values holds both
+    labels, or both -0.0 and 0.0, since the two orders differ only inside
+    such a run; then the stable argsort itself decides.
+    """
+    m = int(values.size)
+    null_values = values[nulls]
+    null_values.sort()
+    alt_values = values[~nulls]
+    alt_values.sort()
+    pos = np.searchsorted(null_values, alt_values, side="right")
+    pos += np.arange(alt_values.size)
+    labels = np.ones(m, dtype=bool)
+    labels[pos] = False
+    merged = np.empty(m)
+    merged[pos] = alt_values
+    del pos, alt_values
+    merged[labels] = null_values
+    del null_values
+    # 'not >' rather than '==': NaNs, which sort last, then count as ties too
+    tied = ~(merged[1:] > merged[:-1])
+    if tied.any():
+        bits = merged.view(np.uint64)
+        tied &= (labels[1:] != labels[:-1]) | (bits[1:] != bits[:-1])
+        if tied.any():
+            order = np.argsort(values, kind="stable")
+            merged, labels = values[order], nulls[order]
+    return PValueSample(values=merged, m=m), labels
 
 
 def sample_beta_tail(pi0: float, s: float, m: int, rng) -> tuple[PValueSample, np.ndarray]:
@@ -253,8 +287,8 @@ _SCENARIO_KEYS = ("kind", "pi0", "m", "reps", "seed", "s", "lambda_star", "a", "
 def parse_scenario_file(path: str | Path) -> tuple[ScenarioSpec, float]:
     """Flat key = value scenario format; '#' comments; returns (spec, alpha).
 
-    An unknown key, or a value that does not parse as its key's type, raises
-    InputError citing the line."""
+    An unknown or repeated key, or a value that does not parse as its key's
+    type, raises InputError citing the line."""
     fields: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -268,6 +302,9 @@ def parse_scenario_file(path: str | Path) -> tuple[ScenarioSpec, float]:
             if key not in _SCENARIO_KEYS:
                 raise InputError(f"{path}:{lineno}: unknown key {key!r}; "
                                  f"valid keys: {', '.join(_SCENARIO_KEYS)}")
+            if key in fields:
+                raise InputError(f"{path}:{lineno}: duplicate key {key!r} "
+                                 f"(first on line {fields[key][1]})")
             fields[key] = (value.strip(), lineno)
     if "kind" not in fields:
         raise InputError(f"{path}: missing 'kind'; valid kinds: {', '.join(KINDS)}")

@@ -273,7 +273,8 @@ class TestSimulateCommand:
         ("m = 1e3", ":4: m must be an integer, got '1e3'"),
         ("alpha = x", ":4: alpha must be a number, got 'x'"),
         ("rep = 500", ":4: unknown key 'rep'; valid keys: kind, pi0, m, reps,"),
-    ], ids=["int", "int_exponent", "float", "unknown_key"])
+        ("pi0 = 0.5", ":4: duplicate key 'pi0' (first on line 2)"),
+    ], ids=["int", "int_exponent", "float", "unknown_key", "duplicate_key"])
     def test_bad_scenario_line_exits_3(self, tmp_path, capsys, monkeypatch, line, message):
         import pi0cv.sim_harness as sim
 
@@ -291,6 +292,26 @@ class TestSimulateCommand:
         err = json.loads(captured.err)
         assert err["error"] == "InputError"
         assert err["message"].startswith(str(conf) + message)
+
+    @pytest.mark.parametrize("source", ["scenario", "flags"])
+    def test_field_the_kind_does_not_use_exits_3(self, tmp_path, capsys, monkeypatch, source):
+        import pi0cv.sim_harness as sim
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "draw_sample", no_replicates)
+        if source == "scenario":
+            conf = tmp_path / "s.conf"
+            conf.write_text("kind = beta_tail\npi0 = 0.8\ns = 20\nsd = 3\n")
+            code = main(["simulate", "--scenario", str(conf)])
+        else:
+            code = main(self.ARGS + ["--sd", "3"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert (err["error"], err["message"]) == ("InputError", "kind beta_tail does not use sd")
 
     def test_negative_delta_is_usage_error(self, capsys, monkeypatch):
         import pi0cv.sim_harness as sim

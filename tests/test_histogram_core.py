@@ -1,4 +1,6 @@
+import csv
 import gzip
+import math
 
 import numpy as np
 import pytest
@@ -245,6 +247,30 @@ class TestReadPvalueFile:
             read_pvalue_file(f, column="pval")
         assert str(info.value) == f"{f}:4: not a number: 'x'"
 
+    def test_csv_repeated_column_name_reads_the_last(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("pval,gene,pval\n0.9,g1,0.4\n0.8,g2,0.6\n")
+        assert np.array_equal(read_pvalue_file(f, column="pval"), [0.4, 0.6])
+
+    def test_csv_short_row_is_skipped(self, tmp_path):
+        # g2's row ends before the column, so it reads as blank
+        f = tmp_path / "p.csv"
+        f.write_text("gene,pval\ng1,0.4\ng2\ng3,0.6\ng4,x\n")
+        with pytest.raises(InputError) as info:
+            read_pvalue_file(f, column="pval")
+        assert str(info.value) == f"{f}:5: not a number: 'x'"
+        f.write_text("gene,pval\ng1,0.4\ng2\ng3,0.6\n")
+        assert np.array_equal(read_pvalue_file(f, column="pval"), [0.4, 0.6])
+
+    def test_csv_quoted_value_spanning_two_lines(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text('gene,pval\ng1,"0.4\n"\ng2,"1.5\n"\n')
+        with pytest.raises(InputError) as info:
+            read_pvalue_file(f, column="pval")
+        assert str(info.value) == f"{f}:5: p-value out of [0, 1]: 1.5"
+        f.write_text('gene,pval\ng1,"0.4\n"\ng2,0.6\n')
+        assert np.array_equal(read_pvalue_file(f, column="pval"), [0.4, 0.6])
+
     def test_plain_text_not_utf8_cites_line(self, tmp_path):
         f = tmp_path / "p.txt"
         f.write_bytes(b"0.1\r0.2\r\n\xe9\n0.3\n")
@@ -313,6 +339,65 @@ PLAIN_TEXT_CORPUS = {
     "only_blank_lines": b"\n\n\n",
     "plain": b"0\n1\n0.25\n1e-300\n0.1234567890123456789\n",
 }
+
+
+def _dictreader_outcome(path, column):
+    """CSV mode as ``csv.DictReader`` reads it, values as float.hex or the
+    error's type and message: the reference for the reader's own loop."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or column not in reader.fieldnames:
+            return "InputError", f"{path}: no column named {column!r}"
+        out = []
+        for row in reader:
+            text = (row[column] or "").strip()
+            if not text:
+                continue
+            try:
+                val = float(text)
+            except ValueError:
+                return "InputError", f"{path}:{reader.line_num}: not a number: {text!r}"
+            if not math.isfinite(val):
+                return "InputError", f"{path}:{reader.line_num}: non-finite value"
+            if not 0.0 <= val <= 1.0:
+                return "InputError", f"{path}:{reader.line_num}: p-value out of [0, 1]: {val!r}"
+            out.append(val.hex())
+        return out
+
+
+# inputs on which csv.reader and csv.DictReader could part ways
+CSV_CORPUS = {
+    "plain": b"gene,pval\ng1,0.4\ng2,0.6\n",
+    "first_column": b"pval,gene\n0.4,g1\n0.6,g2\n",
+    "repeated_name": b"pval,gene,pval\n0.9,g1,0.4\n0.8,g2,0.6\n",
+    "repeated_name_short_row": b"pval,gene,pval\n0.9,g1,0.4\n0.8\n0.7,g3\n0.1,g4,x\n",
+    "short_row": b"gene,pval\ng1\ng2,0.6\n",
+    "long_row": b"gene,pval\ng1,0.4,extra,more\ng2,0.6\n",
+    "blank_rows": b"gene,pval\n\ng1,0.4\n\n\ng2,x\n",
+    "whitespace_row": b"pval\n  \n0.4\n",
+    "empty_field": b"gene,pval\ng1,\ng2,0.6\n",
+    "quoted_value_two_lines": b'gene,pval\ng1,"0.4\n"\ng2,"1.5\n"\n',
+    "quoted_name_two_lines": b'gene,pval\n"a\nb",0.5\ng2,1.5\n',
+    "quoted_header": b'"gene","pval"\ng1,0.4\n',
+    "crlf": b"gene,pval\r\ng1,0.4\r\ng2,nan\r\n",
+    "header_only": b"gene,pval\n",
+    "empty": b"",
+    "blank_first_line": b"\ngene,pval\ng1,0.4\n",
+    "bom": b"\xef\xbb\xbfpval\n0.4\n",
+    "no_such_column": b"a,b\n1,2\n",
+}
+
+
+class TestCsvReader:
+    @pytest.mark.parametrize("name", sorted(CSV_CORPUS))
+    def test_same_values_and_errors_as_dictreader(self, tmp_path, name):
+        f = tmp_path / "p.csv"
+        f.write_bytes(CSV_CORPUS[name])
+        try:
+            got = [v.hex() for v in read_pvalue_file(f, column="pval").tolist()]
+        except InputError as exc:
+            got = type(exc).__name__, str(exc)
+        assert got == _dictreader_outcome(f, "pval")
 
 
 class TestBulkParse:

@@ -217,6 +217,27 @@ class TestErrorMetrics:
         with pytest.raises(LengthMismatch):
             error_metrics(self._result(4, []), [True, False])
 
+    def test_duplicated_index_counts_once(self):
+        em = error_metrics(self._result(4, [1, 1, 0, 0]), [True, False, False, True])
+        assert (em.r, em.fp, em.fdp, em.fnr) == (2, 1, 0.5, 0.5)
+
+    def test_matches_counting_by_mask(self):
+        # any index array, prefix or not, repeated or negative, against
+        # counts taken from the rejection mask and its complement
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            m = int(rng.integers(2, 40))
+            rejected = rng.integers(-m, m, size=int(rng.integers(0, 2 * m)))
+            labels = rng.random(m) < rng.random()
+            rej = np.zeros(m, dtype=bool)
+            rej[rejected] = True
+            r, fp = int(rej.sum()), int((rej & labels).sum())
+            n_alt, missed = int((~labels).sum()), int((~rej & ~labels).sum())
+            em = error_metrics(self._result(m, rejected), labels)
+            assert (em.r, em.fp) == (r, fp)
+            assert em.fdp == fp / max(r, 1)
+            assert em.fnr == missed / max(n_alt, 1)
+
     def test_fdp_always_in_unit_interval(self):
         rng = np.random.default_rng(4)
         for _ in range(100):

@@ -1,11 +1,14 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pi0cv import sim_harness
 from pi0cv.errors import InputError, InvalidAlpha
 from pi0cv.sim_harness import (
+    KIND_FIELDS,
     ScenarioSpec,
     draw_sample,
     normal_cdf,
@@ -18,6 +21,9 @@ from pi0cv.sim_harness import (
     summary_json_dict,
     write_summary_csv,
 )
+
+
+SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
 
 def ks_statistic(values):
@@ -117,6 +123,92 @@ class TestNullUniformityAcrossGenerators:
         assert math.sqrt(len(null_p)) * ks_statistic(null_p) < KS_1PCT
 
 
+def _stable_assemble(values, nulls):
+    """The sort the merge replaces: a stable argsort carrying the labels."""
+    order = np.argsort(values, kind="stable")
+    return values[order], nulls[order]
+
+
+def _assert_same_as_stable_argsort(values, nulls):
+    sample, labels = sim_harness._assemble(values, nulls)
+    ref_values, ref_labels = _stable_assemble(values, nulls)
+    assert np.array_equal(sample.values.view(np.uint64), ref_values.view(np.uint64))
+    assert labels.dtype == bool and np.array_equal(labels, ref_labels)
+    assert sample.m == values.size
+
+
+class TestAssemble:
+    """``_assemble`` merges the separately sorted null and alternative values;
+    it must equal the stable argsort bit for bit, ties and signed zeros included."""
+
+    @pytest.fixture
+    def argsort_calls(self, monkeypatch):
+        calls = []
+        real = np.argsort
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("kind"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim_harness.np, "argsort", spy)
+        return calls
+
+    def test_generated_values_match_stable_argsort(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        # small pools make ties, with one label or both, the common case;
+        # NaN, which a ushape draw with infinite b and sd can hold, sorts last
+        edges = [0.0, -0.0, 1.0, 0.5, 0.25, 1 / 3, 2 / 3, 0.1, 0.7, 1 / 7, math.nan]
+        pool = st.sampled_from(edges) | st.floats(0.0, 1.0)
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(st.lists(st.tuples(pool, st.booleans()), min_size=2, max_size=60))
+        def check(pairs):
+            values = np.array([v for v, _ in pairs], dtype=float)
+            nulls = np.array([n for _, n in pairs], dtype=bool)
+            _assert_same_as_stable_argsort(values, nulls)
+
+        check()
+
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_million_value_draw_matches_stable_argsort(self, kind, monkeypatch, argsort_calls):
+        kwargs = {"beta_tail": dict(s=10.0), "trunc_beta": dict(s=4.0, lambda_star=0.2),
+                  "ushape": dict(a=-40.0, b=40.0, sd=1.0)}[kind]
+        spec = ScenarioSpec(kind=kind, pi0=0.5, m=1_000_000, reps=1, seed=3, **kwargs)
+        seen = []
+        real = sim_harness._assemble
+
+        def keep_inputs(values, nulls):
+            seen.append((values.copy(), nulls.copy()))
+            return real(values, nulls)
+
+        monkeypatch.setattr(sim_harness, "_assemble", keep_inputs)
+        draw_sample(spec, replicate_rng(3, 0))
+        assert argsort_calls == []   # generated ties hold one label: no fallback
+        _assert_same_as_stable_argsort(*seen[0])
+
+    def test_mixed_label_tie_takes_the_stable_argsort(self, argsort_calls):
+        # the merge would put the alternative 0.5 after the null 0.5
+        values = np.array([0.5, 0.5, 0.2])
+        nulls = np.array([False, True, True])
+        _, labels = sim_harness._assemble(values, nulls)
+        assert argsort_calls == ["stable"]
+        assert labels.tolist() == [True, False, True]
+
+    def test_signed_zeros_take_the_stable_argsort(self, argsort_calls):
+        values = np.array([0.0, -0.0, 0.0, 0.5])
+        _assert_same_as_stable_argsort(values, np.ones(4, dtype=bool))
+        assert argsort_calls == ["stable", "stable"]   # the fallback, then the reference
+
+    def test_single_label_ties_are_merged(self, argsort_calls):
+        values = np.array([0.5, 0.5, 0.2, 1.0, 1.0, 0.0, 0.0])
+        nulls = np.array([True, True, False, False, False, True, True])
+        sample, labels = sim_harness._assemble(values, nulls)
+        assert argsort_calls == []
+        assert sample.values.tolist() == [0.0, 0.0, 0.2, 0.5, 0.5, 1.0, 1.0]
+        assert labels.tolist() == [True, True, False, True, True, False, False]
+
+
 class TestScenarioSpecValidation:
     def test_unknown_kind_lists_valid_ones(self):
         with pytest.raises(InputError, match="beta_tail, trunc_beta, ushape"):
@@ -129,6 +221,19 @@ class TestScenarioSpecValidation:
             ScenarioSpec(kind="trunc_beta", pi0=0.5, m=10, reps=1, seed=0, s=4.0)
         with pytest.raises(InputError):
             ScenarioSpec(kind="ushape", pi0=0.5, m=10, reps=1, seed=0, a=1.0, b=2.0, sd=0.5)
+
+    @pytest.mark.parametrize("kind, kwargs, extra", [
+        ("beta_tail", dict(s=10.0), "lambda_star"),
+        ("beta_tail", dict(s=10.0), "sd"),
+        ("trunc_beta", dict(s=4.0, lambda_star=0.2), "a"),
+        ("trunc_beta", dict(s=4.0, lambda_star=0.2), "b"),
+        ("ushape", dict(a=-1.0, b=1.0, sd=0.5), "s"),
+        ("ushape", dict(a=-1.0, b=1.0, sd=0.5), "lambda_star"),
+    ])
+    def test_field_the_kind_does_not_use(self, kind, kwargs, extra):
+        with pytest.raises(InputError) as info:
+            ScenarioSpec(kind=kind, pi0=0.5, m=10, reps=1, seed=0, **kwargs, **{extra: 0.2})
+        assert str(info.value) == f"kind {kind} does not use {extra}"
 
 
 def _tiny_spec(**over):
@@ -220,10 +325,27 @@ class TestScenarioFiles:
         with pytest.raises(InputError, match="beta_tail, trunc_beta, ushape"):
             parse_scenario_file(f)
 
+    def test_duplicate_key_cites_both_lines(self, tmp_path):
+        f = tmp_path / "s.conf"
+        f.write_text("kind = beta_tail\ns = 10\nreps = 5\n# again\nreps = 50\n")
+        with pytest.raises(InputError) as info:
+            parse_scenario_file(f)
+        assert str(info.value) == f"{f}:5: duplicate key 'reps' (first on line 3)"
+
+    def test_field_the_kind_does_not_use(self, tmp_path):
+        f = tmp_path / "s.conf"
+        f.write_text("kind = beta_tail\ns = 10\nlambda_star = 0.2\nsd = 3\n")
+        with pytest.raises(InputError, match="^kind beta_tail does not use lambda_star$"):
+            parse_scenario_file(f)
+
+    @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.conf")), ids=lambda p: p.name)
+    def test_every_shipped_scenario_is_a_valid_spec(self, path):
+        spec, alpha = parse_scenario_file(path)
+        assert all(getattr(spec, name) is not None for name in KIND_FIELDS[spec.kind])
+        assert 0.0 < alpha < 1.0
+
     def test_shipped_trunc_beta_scenario(self):
-        from pathlib import Path
-        spec, alpha = parse_scenario_file(
-            Path(__file__).parent.parent / "scenarios" / "trunc_beta_study.conf")
+        spec, alpha = parse_scenario_file(SCENARIOS / "trunc_beta_study.conf")
         assert spec.kind == "trunc_beta"
         assert (spec.pi0, spec.s, spec.lambda_star, spec.m, spec.reps) == (0.9, 4.0, 0.2, 1000, 500)
         assert alpha == 0.15
