@@ -30,6 +30,10 @@ class NonFinite(InputError):
         super().__init__(f"non-finite p-value at position {index}")
 
 
+class InvalidSample(InputError):
+    """A ``PValueSample`` built against its contract."""
+
+
 class InvalidRange(InputError):
     pass
 

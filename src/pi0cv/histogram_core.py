@@ -22,6 +22,7 @@ from .errors import (
     EmptyInput,
     InputError,
     InvalidRange,
+    InvalidSample,
     MismatchedResolution,
     NonFinite,
     OutOfRange,
@@ -48,15 +49,23 @@ class PValueSample:
     """Sorted, validated vector of p-values.
 
     ``values`` is ascending and confined to [0, 1]; ``m >= 2`` because the
-    risk formulas divide by m - 1.
+    risk formulas divide by m - 1.  Construction checks both in one pass and
+    raises ``InvalidSample``; ``load_sample`` first cites the bad position.
     """
 
     values: np.ndarray
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        self.values.flags.writeable = False
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        values.flags.writeable = False
+        if values.ndim != 1 or values.size != self.m or self.m < 2:
+            raise InvalidSample(f"need a 1-D array of m >= 2 values, got shape "
+                                f"{values.shape} with m = {self.m}")
+        # written with >=, so that a NaN anywhere fails the order test
+        if not (values[0] >= 0.0 and values[-1] <= 1.0 and np.all(values[1:] >= values[:-1])):
+            raise InvalidSample("values must be ascending and lie in [0, 1]")
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,9 @@ the coarsest grid N wins, then the smallest dimension, then the widest
 central cell, then the largest k.  The band suppresses winner's-curse picks
 from the ~1.7e5-strong family, where a noise-favoured fine partition can
 otherwise park its central cell in a steep region of the density and read a
-meaningless height; pure argmin is recovered with se_band=0.  The argmin
-itself is ``risk.min()`` and the partitions that tie with it; the tie-break
-order above is applied by sorting only that tie set, and then only the band,
-never the whole family.
+meaningless height; pure argmin is recovered with se_band=0.  The family is
+stored in that order, so the argmin's tie-break and the band's winner are
+both the first index that qualifies, and nothing is sorted.
 
 The scan is vectorised in two stages.  The cell counts of every grid N and
 their power prefix sums cost O(m + N) per grid, built for all grids at once
@@ -36,12 +35,11 @@ lpo scores the holdout only where a partition can still win.  Its risk is
 and s11 - s21 = sum_k alpha_k (1 - alpha_k) / w_k >= 0, so R_p grows with p
 and loo's R_1, read from the same s11 and s21, bounds every partition's
 R_p from below.  The scan scores the family at p = 1, which is loo's whole
-scan; lpo then scores at the holdout the partitions whose R_1 is within
-the margin of T0, the lpo risk of R_1's argmin, which holds every lpo
-argmin and all that tie with it, and ``estimate_pi0`` adds those within
-the margin of the SE band's upper edge.  The family array holds the lpo
-risk where it was scored and R_1 elsewhere, so its minimum, tie set and
-band are the full scan's, bit for bit.
+scan.  lpo then scores at the holdout, a block at a time, only what can
+win: for the argmin, the partitions whose R_1 is within the margin of T0,
+the lpo risk of R_1's argmin, which hold every lpo argmin and all that tie
+with it; for the band, those whose R_1 is within the margin of its upper
+edge, walked in family order up to the first block that holds a member.
 
 The margin bounds how far the computed R_1 can exceed the computed R_p.
 Write R_p = (A s11 - B s21) / D with A = 2m - p, B = m (m - p + 1) and
@@ -124,6 +122,9 @@ class Pi0Estimate:
 class _SearchTables:
     """Sample-independent index tables for one (n_min, n_max) range.
 
+    The family is in selection order, N ascending, then L - K and k descending:
+    the pairs (a, b) of ``np.tril_indices(N)`` give K = a - b, L = N - b.
+
     Row g of ``edges`` holds the edges k/N, k < N, of grid N = n_min + g,
     then +inf up to column n_max.  An edge of +inf counts the whole sample:
     at k = N that is the count the right-closed last cell needs, and past it
@@ -133,18 +134,14 @@ class _SearchTables:
     """
 
     def __init__(self, n_min: int, n_max: int):
-        ns, ks, ls = [], [], []
-        for n in range(n_min, n_max + 1):
-            kk, ll = np.triu_indices(n + 1, k=1)
-            ns.append(np.full(kk.size, n, dtype=np.int64))
-            ks.append(kk.astype(np.int64))
-            ls.append(ll.astype(np.int64))
-        grid = np.arange(n_min, n_max + 1)[:, None]
+        grid = np.arange(n_min, n_max + 1)
+        tri = [np.tril_indices(n) for n in grid.tolist()]
+        a, b = (np.concatenate(parts) for parts in zip(*tri))
+        self.N = np.repeat(grid, [t[0].size for t in tri])
+        self.K = a - b
+        self.L = self.N - b
         cols = np.arange(n_max + 1)
-        self.edges = np.where(cols < grid, cols / grid, np.inf)
-        self.N = np.concatenate(ns)
-        self.K = np.concatenate(ks)
-        self.L = np.concatenate(ls)
+        self.edges = np.where(cols < grid[:, None], cols / grid[:, None], np.inf)
         row = (self.N - n_min) * (n_max + 1)
         self.idx_k = row + self.K
         self.idx_l = row + self.L
@@ -165,11 +162,9 @@ def _tables(n_min: int, n_max: int) -> _SearchTables:
     return _tables_cache[key]
 
 
-def _scan(sample: PValueSample, tab: _SearchTables, adaptive_p: bool):
-    """Vectorised risk scan: one risk per partition, and the grids' prefix
-    sums it was scored from.  Every partition is scored at p = 1; with
-    ``adaptive_p``, those whose R_1 is within the margin of T0 again at
-    their holdout (see the module docstring)."""
+def _scan(sample: PValueSample, tab: _SearchTables):
+    """Vectorised risk scan: R_1, the risk at p = 1, of every partition, and
+    the grids' prefix sums it was scored from."""
     m = sample.m
     sums = _grid_sums(np.searchsorted(sample.values, tab.edges, side="left"), m)
     risk = np.empty(tab.N.size)
@@ -177,19 +172,17 @@ def _scan(sample: PValueSample, tab: _SearchTables, adaptive_p: bool):
         blk = slice(lo, lo + _BLOCK)
         risk[blk] = _score(m, sums, tab.idx_k[blk], tab.idx_l[blk], tab.idx_n[blk],
                            tab.Nf[blk], tab.W[blk], adaptive_p=False)[-1]
-    if adaptive_p:
-        # a non-finite R_1 never wins, so it cannot set T0
-        t0 = _rescore(m, sums, tab, np.where(np.isfinite(risk), risk, np.inf).argmin())[2]
-        _lpo_at(m, sums, tab, risk, np.flatnonzero(risk <= t0 + tab.margin))
     return risk, sums
 
 
-def _lpo_at(m: int, sums, tab: _SearchTables, risk: np.ndarray, rows: np.ndarray):
-    """Overwrite ``risk`` with the lpo risk of the partitions ``rows``."""
+def _lpo_blocks(m: int, sums, tab: _SearchTables, rows: np.ndarray):
+    """The lpo risks of the partitions ``rows``, at their own holdout, one
+    block of ``_BLOCK`` rows at a time; a non-finite risk reads +inf."""
     for lo in range(0, rows.size, _BLOCK):
         j = rows[lo:lo + _BLOCK]
-        risk[j] = _score(m, sums, tab.idx_k[j], tab.idx_l[j], tab.idx_n[j],
-                         tab.Nf[j], tab.W[j], adaptive_p=True)[-1]
+        risk = _score(m, sums, tab.idx_k[j], tab.idx_l[j], tab.idx_n[j],
+                      tab.Nf[j], tab.W[j], adaptive_p=True)[-1]
+        yield np.where(np.isfinite(risk), risk, np.inf)
 
 
 def _rescore(m: int, sums, tab: _SearchTables, j: int):
@@ -201,14 +194,6 @@ def _rescore(m: int, sums, tab: _SearchTables, j: int):
     return cc[0], p[0], risk[0], _mse_polynomial(m, *moments)
 
 
-def _first_by_shape(tab: _SearchTables, sel: np.ndarray) -> int:
-    """The partition of ``sel`` with the coarsest grid, then the smallest
-    dimension, the widest central cell and the largest k; the first index
-    among equals."""
-    n, k = tab.N[sel], tab.K[sel]
-    return sel[np.lexsort((-k, -tab.W[sel], n - (tab.L[sel] - k), n))[0]]
-
-
 def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig()) -> Pi0Estimate:
     """Run the full partition search and return the selected estimate."""
     if cfg.method in ("ss", "storey"):
@@ -217,26 +202,40 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
     tab = _tables(cfg.n_min, cfg.n_max)
     m = sample.m
     lpo = cfg.method == "lpo"
-    risk, sums = _scan(sample, tab, adaptive_p=lpo)
+    r1, sums = _scan(sample, tab)
 
-    finite = np.isfinite(risk)
+    finite = np.isfinite(r1)
     if not finite.any():
         spec = PartitionSpec(cfg.n_min, 0, cfg.n_min)
         return Pi0Estimate(method=cfg.method, m=m, pi0_raw=1.0, pi0=1.0,
                            lambda_hat=spec.lam, mu_hat=spec.mu, n_hat=spec.n,
                            p_hat=1, risk=None, degenerate=True)
     if not finite.all():
-        risk = np.where(finite, risk, np.inf)
+        r1 = np.where(finite, r1, np.inf)
 
-    j = _first_by_shape(tab, np.flatnonzero(risk == risk.min()))
+    # the family is in selection order, so the first index wins every tie
+    j = int(r1.argmin())
+    risk = r1[j]
+    if lpo:
+        t0 = next(_lpo_blocks(m, sums, tab, np.array([j])))[0]
+        rows = np.flatnonzero(r1 <= t0 + tab.margin)
+        rp = np.concatenate(list(_lpo_blocks(m, sums, tab, rows)))
+        j, risk = int(rows[rp.argmin()]), rp.min()
     if cfg.se_band > 0.0:
         # loo's SE is the selection MSE at its own holdout, p = 1
         _, p, _, coeffs = _rescore(m, sums, tab, j)
         se = np.sqrt(max(float(selection_mse(coeffs, p if lpo else 1.0)[0]), 0.0))
-        band = risk[j] + cfg.se_band * (se if np.isfinite(se) else 0.0)
+        band = risk + cfg.se_band * (se if np.isfinite(se) else 0.0)
         if lpo:
-            _lpo_at(m, sums, tab, risk, np.flatnonzero(risk <= band + tab.margin))
-        j = _first_by_shape(tab, np.flatnonzero(risk <= band))
+            rows = np.flatnonzero(r1 <= band + tab.margin)
+            for lo, rp in zip(range(0, rows.size, _BLOCK), _lpo_blocks(m, sums, tab, rows)):
+                if (rp <= band).any():
+                    i = int(np.argmax(rp <= band))
+                    j, risk = int(rows[lo + i]), rp[i]
+                    break
+        else:
+            j = int(np.argmax(r1 <= band))
+            risk = r1[j]
 
     cc, p_hat, _, _ = _rescore(m, sums, tab, j)
     pi0_raw = cc / (m * tab.W[j])
@@ -249,7 +248,7 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
         mu_hat=float(tab.L[j] / tab.Nf[j]),
         n_hat=int(tab.N[j]),
         p_hat=int(p_hat) if lpo else 1,
-        risk=float(risk[j]),
+        risk=float(risk),
     )
 
 

@@ -63,6 +63,10 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InputError(f"unknown scenario kind {self.kind!r}; valid kinds: {', '.join(KINDS)}")
+        for name in ("pi0", "s", "lambda_star", "a", "b", "sd"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InputError(f"{name} must be finite, got {value}")
         if not 0.0 < self.pi0 <= 1.0:
             raise InputError(f"pi0 must lie in (0, 1], got {self.pi0}")
         if self.m < 2:
@@ -173,10 +177,7 @@ def _assemble(values: np.ndarray, nulls: np.ndarray) -> tuple[PValueSample, np.n
 def sample_beta_tail(pi0: float, s: float, m: int, rng) -> tuple[PValueSample, np.ndarray]:
     """Mixture pi0 * U[0,1] + (1 - pi0) * Beta(1, s); the alternative density
     s (1 - t)^(s-1) is drawn by inverse CDF as 1 - U^(1/s)."""
-    nulls = rng.random(m) < pi0
-    u = rng.random(m)
-    values = np.where(nulls, u, 1.0 - u ** (1.0 / s))
-    return _assemble(values, nulls)
+    return sample_trunc_beta(pi0, s, 1.0, m, rng)
 
 
 def sample_trunc_beta(pi0: float, s: float, lambda_star: float, m: int,

@@ -124,7 +124,7 @@ class TestDegenerateSelection:
     def nan_scan(self, monkeypatch):
         import pi0cv.pi0_estimator as mod
 
-        def broken_scan(sample, tab, adaptive_p):
+        def broken_scan(sample, tab):
             return np.full(tab.N.size, np.nan), None
 
         monkeypatch.setattr(mod, "_scan", broken_scan)
@@ -312,6 +312,34 @@ class TestSimulateCommand:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert (err["error"], err["message"]) == ("InputError", "kind beta_tail does not use sd")
+
+    @pytest.mark.parametrize("source, message", [
+        ("beta_tail_flags", "s must be finite, got nan"),
+        ("ushape_flags", "sd must be finite, got inf"),
+        ("scenario", "s must be finite, got nan"),
+    ])
+    def test_non_finite_parameter_exits_3(self, tmp_path, capsys, monkeypatch, source, message):
+        import pi0cv.sim_harness as sim
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "draw_sample", no_replicates)
+        rest = ["--m", "200", "--reps", "3", "--seed", "0", "--methods", "storey"]
+        if source == "beta_tail_flags":
+            code = main(["simulate", "--kind", "beta_tail", "--pi0", "0.5", "--s", "nan"] + rest)
+        elif source == "ushape_flags":
+            code = main(["simulate", "--kind", "ushape", "--pi0", "0.5", "--a", "-1", "--b", "1",
+                         "--sd", "inf"] + rest)
+        else:
+            conf = tmp_path / "s.conf"
+            conf.write_text("kind = beta_tail\npi0 = 0.8\ns = nan\n")
+            code = main(["simulate", "--scenario", str(conf)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert (err["error"], err["message"]) == ("InputError", message)
 
     def test_negative_delta_is_usage_error(self, capsys, monkeypatch):
         import pi0cv.sim_harness as sim

@@ -10,6 +10,7 @@ from pi0cv.errors import (
     EmptyInput,
     InputError,
     InvalidRange,
+    InvalidSample,
     MismatchedResolution,
     NonFinite,
     OutOfRange,
@@ -17,6 +18,7 @@ from pi0cv.errors import (
 )
 from pi0cv.histogram_core import (
     PartitionSpec,
+    PValueSample,
     bin_counts,
     enumerate_partitions,
     grid_prefix,
@@ -56,6 +58,33 @@ class TestLoadSample:
         s = load_sample([0.2, 0.4])
         with pytest.raises(ValueError):
             s.values[0] = 0.0
+
+
+class TestPValueSampleContract:
+    @pytest.mark.parametrize("values, m", [
+        ([math.nan, 0.2, 0.4], 3), ([0.2, math.nan, 0.4], 3), ([0.2, 0.4, math.nan], 3),
+        ([-math.inf, 0.2, 0.4], 3), ([0.2, math.inf, 0.4], 3), ([0.2, 0.4, math.inf], 3),
+        ([-0.1, 0.4], 2), ([0.2, 1.5], 2),
+        ([0.4, 0.2], 2), ([0.2, 0.6, 0.4], 3),
+        ([0.2, 0.4], 3), ([0.2, 0.4, 0.6], 2), ([0.5], 1), ([], 0), ([[0.2, 0.4]], 2),
+    ], ids=["nan_first", "nan_middle", "nan_last", "minus_inf", "inf_middle", "inf_last",
+            "below_0", "above_1", "descending", "unsorted", "m_too_large", "m_too_small",
+            "one_value", "empty", "two_dimensional"])
+    def test_direct_construction_is_checked(self, values, m):
+        with pytest.raises(InvalidSample):
+            PValueSample(values=np.array(values, dtype=float), m=m)
+
+    def test_is_an_input_error(self):
+        assert issubclass(InvalidSample, InputError)
+
+    def test_ties_zeros_and_ones_are_valid(self):
+        s = PValueSample(values=np.array([-0.0, 0.0, 0.5, 0.5, 1.0]), m=5)
+        assert s.m == 5
+
+    def test_load_sample_cites_the_position_first(self):
+        with pytest.raises(NonFinite) as exc:
+            load_sample([0.4, 0.2, math.nan])
+        assert exc.value.index == 2
 
 
 class TestPartitionSpec:

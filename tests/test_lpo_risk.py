@@ -555,12 +555,12 @@ class TestEvaluatePartition:
         records = [rec for n in range(1, 101) for rec in grid_diagnostics(sample, n)]
         assert [(r["N"], r["k"], r["l"]) for r in records] == \
                [(spec.n, spec.k, spec.l) for spec in enumerate_partitions(1, 100)]
-        assert np.array_equal(np.array([r["p_hat"] for r in records], dtype=float), full.p_hat)
+        # the family's row of each record, paired by (N, k, l)
+        row = {key: j for j, key in enumerate(zip(tab.N.tolist(), tab.K.tolist(), tab.L.tolist()))}
+        pos = np.array([row[r["N"], r["k"], r["l"]] for r in records])
+        assert np.array_equal(np.array([r["p_hat"] for r in records], dtype=float), full.p_hat[pos])
         # compared as integers, so NaN payloads and signed zeros count
         risk = np.array([r["risk"] for r in records])
-        assert np.array_equal(risk.view(np.int64), full.risk.view(np.int64))
-        # the search's lpo risks, where it scored them, are the records'
-        scan = _scan(sample, tab, adaptive_p=True)[0]
-        scored = scan.view(np.int64) == risk.view(np.int64)
-        assert scored[scan == scan.min()].all()
-        assert (scan[~scored] == full.loo[~scored]).all()
+        assert np.array_equal(risk.view(np.int64), full.risk[pos].view(np.int64))
+        # the search's scan is R_1
+        assert np.array_equal(_scan(sample, tab)[0].view(np.int64), full.loo.view(np.int64))

@@ -66,7 +66,7 @@ class TestEstimateFixtures:
     def test_degenerate_scan_falls_back_to_single_cell(self, monkeypatch):
         import pi0cv.pi0_estimator as mod
 
-        def broken_scan(sample, tab, adaptive_p):
+        def broken_scan(sample, tab):
             return np.full(tab.N.size, np.nan), None
 
         monkeypatch.setattr(mod, "_scan", broken_scan)
@@ -193,10 +193,12 @@ class TestEstimateProperties:
         tab = _tables(1, 10)
         # the scan keeps the lpo risk of its candidates only; the kernel
         # scores every partition alone from the scan's sums
-        _, sums = _scan(sample, tab, adaptive_p=True)
+        _, sums = _scan(sample, tab)
         cc, phat, risk = np.array([_rescore(sample.m, sums, tab, j)[:3]
                                    for j in range(tab.N.size)]).T
-        for idx, spec in enumerate(enumerate_partitions(1, 10)):
+        row = {key: j for j, key in enumerate(zip(tab.N.tolist(), tab.K.tolist(), tab.L.tolist()))}
+        for spec in enumerate_partitions(1, 10):
+            idx = row[spec.n, spec.k, spec.l]
             counts = bin_counts(grid_prefix(sample, spec.n), spec)
             mc = mse_coefficients(moment_sums(counts, spec), sample.m)
             sel = select_p(mc)
@@ -297,7 +299,8 @@ class TestSelectionOracle:
 
         real_score = mod._score
         tab = mod._tables(1, 100)
-        keys = tab.idx_k * 2**20 + tab.idx_l        # increasing along the family
+        keys = tab.idx_k * 2**20 + tab.idx_l        # one per partition
+        order = np.argsort(keys)
         rng = np.random.default_rng(62)
         sample = load_sample(np.where(rng.random(1000) < 0.7, rng.random(1000),
                                       rng.beta(1, 10, 1000)))
@@ -311,7 +314,7 @@ class TestSelectionOracle:
 
             def score_with_holes(m, sums, ik, il, *args, **kwargs):
                 *rest, risk = real_score(m, sums, ik, il, *args, **kwargs)
-                h = hole[np.searchsorted(keys, ik * 2**20 + il)]
+                h = hole[order[np.searchsorted(keys[order], ik * 2**20 + il)]]
                 return (*rest, np.where(h == 0, risk, h))
 
             monkeypatch.setattr(mod, "_score", score_with_holes)
@@ -366,25 +369,75 @@ class TestSelectionOracle:
             full = full_family(load_sample(raw), tab, True)
             assert (full.loo - full.risk).max() <= tab.margin, name
 
-    def test_sorts_only_the_tie_set_and_the_band(self, monkeypatch):
-        from pi0cv.pi0_estimator import _tables
+    @pytest.mark.parametrize("method", ["lpo", "loo"])
+    def test_small_blocks_match_full_lexsort(self, monkeypatch, method):
+        # lpo's stages in blocks of 7 partitions cross block edges, and on the
+        # added sample the band walk passes its first block.  The scan keeps
+        # its own blocks, which TestBlockedScan covers; in 7s it takes ~1 s.
+        import pi0cv.pi0_estimator as mod
 
-        sorted_sizes = []
-        real_lexsort = np.lexsort
+        real_scan, real_blocks, block = mod._scan, mod._lpo_blocks, mod._BLOCK
+        walked = []
 
-        def counting_lexsort(keys, *args, **kwargs):
-            sorted_sizes.append(len(keys[0]))
-            return real_lexsort(keys, *args, **kwargs)
+        def scan_in_own_blocks(sample, tab):
+            mod._BLOCK = block
+            try:
+                return real_scan(sample, tab)
+            finally:
+                mod._BLOCK = 7
 
-        monkeypatch.setattr(np, "lexsort", counting_lexsort)
-        rng = np.random.default_rng(63)
-        sample = load_sample(rng.random(1000))
-        family = _tables(1, 100).N.size
-        for se_band in (0.0, 0.25):
-            sorted_sizes.clear()
-            estimate_pi0(sample, EstimatorConfig(se_band=se_band))
-            assert sorted_sizes
-            assert max(sorted_sizes) < family
+        def counted_blocks(*args):
+            walked.append(0)
+            for risk in real_blocks(*args):
+                walked[-1] += 1
+                yield risk
+
+        monkeypatch.setattr(mod, "_BLOCK", 7)
+        monkeypatch.setattr(mod, "_scan", scan_in_own_blocks)
+        monkeypatch.setattr(mod, "_lpo_blocks", counted_blocks)
+        rng = np.random.default_rng(60)
+        samples = dict(_selection_samples(),
+                       walk=np.where(rng.random(50) < 0.8, rng.random(50), rng.beta(1, 20, 50)))
+        for raw in samples.values():
+            self._check(load_sample(raw), method, (0.0, 0.25))
+        if method == "lpo":
+            assert walked[-1] > 1       # the last sample's band walk
+
+    def test_selection_sorts_nothing(self, monkeypatch):
+        # the family is stored in selection order: no call sorts, the
+        # table build included
+        import pi0cv.pi0_estimator as mod
+
+        samples = [load_sample(raw) for raw in _selection_samples().values()]
+        calls = []
+        for name in ("lexsort", "argsort", "sort"):
+            def spy(*args, _name=name, _real=getattr(np, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np, name, spy)
+        monkeypatch.setattr(mod, "_tables_cache", {})
+        for sample in samples:
+            for method in ("lpo", "loo"):
+                for se_band in (0.0, 0.25):
+                    estimate_pi0(sample, EstimatorConfig(method=method, se_band=se_band))
+        assert calls == []
+
+
+class TestFamilyLayout:
+    @pytest.mark.parametrize("grids", [(1, 1), (1, 5), (3, 7), (1, 100)], ids=str)
+    def test_stored_in_shape_order(self, grids):
+        # the lexsort on (N, dimension, -W, -k) that selection once ran, over
+        # enumerate_partitions' triples; the key is unique, so the order is total
+        from pi0cv.histogram_core import enumerate_partitions
+        from pi0cv.pi0_estimator import _SearchTables
+
+        n, k, l = np.array([(p.n, p.k, p.l) for p in enumerate_partitions(*grids)]).T
+        key = np.stack([n, n + 1 - (l - k), -(l - k) / n, -k])
+        assert np.unique(key, axis=1).shape[1] == n.size
+        order = np.lexsort(key[::-1])
+        tab = _SearchTables(*grids)
+        for got, want in ((tab.N, n), (tab.K, k), (tab.L, l)):
+            np.testing.assert_array_equal(got, want[order])
 
 
 def _first_partitions(tab, size):
@@ -408,14 +461,14 @@ def _family(which):
 
 
 class TestBlockedScan:
-    @pytest.mark.parametrize("adaptive_p", [True, False], ids=["lpo", "loo"])
+    @pytest.mark.parametrize("method", ["lpo", "loo"])
     @pytest.mark.parametrize("family", [(1, 1), (1, 5), "one_block", "one_block_plus_one",
                                         (1, 100)], ids=str)
-    def test_bit_identical_to_unblocked_scan(self, family, adaptive_p):
-        # compared with the unpruned family: loo's scan is its R_1; lpo's
-        # holds the lpo risk or R_1, with lpo's minimum and ties
+    def test_bit_identical_to_unblocked_scan(self, family, method):
+        # compared with the unpruned family: the scan is R_1 for either
+        # method, and the re-score gives the adaptive holdout and its risk
         from pi0cv.lpo_risk import selection_mse
-        from pi0cv.pi0_estimator import _BLOCK, _first_by_shape, _rescore, _scan
+        from pi0cv.pi0_estimator import _BLOCK, _rescore, _scan
 
         def same_bits(got, want):
             # which also makes NaN equal NaN
@@ -424,31 +477,23 @@ class TestBlockedScan:
         tab = _family(family)
         if family == "one_block":
             assert tab.N.size == _BLOCK
+        lpo = method == "lpo"
         rng = np.random.default_rng(64)
         samples = dict(_selection_samples(), m100000=rng.random(100_000) ** 1.5)
         for name, raw in samples.items():
             sample = load_sample(raw)
-            risk, sums = _scan(sample, tab, adaptive_p)
-            full = full_family(sample, tab, adaptive_p)
+            risk, sums = _scan(sample, tab)
+            full = full_family(sample, tab, True)
             assert risk.shape == (tab.N.size,), name
-            bits = risk.view(np.uint64)
-            exact = bits == full.risk.view(np.uint64)
-            np.testing.assert_array_equal(bits[~exact], full.loo.view(np.uint64)[~exact],
-                                          err_msg=f"{name}: neither lpo nor loo risk")
-            assert not (~exact).any() or risk[~exact].min() > full.risk.min(), name
-            np.testing.assert_array_equal(np.flatnonzero(risk == risk.min()),
-                                          np.flatnonzero(full.risk == full.risk.min()),
-                                          err_msg=f"{name}: tie set")
-            # the re-score gives the adaptive holdout and its risk for either
-            # method, and the SE at the method's own holdout
-            lpo = full if adaptive_p else full_family(sample, tab, True)
-            jmin = _first_by_shape(tab, np.flatnonzero(risk == risk.min()))
-            for j in {int(jmin), 0, tab.N.size - 1, *range(0, tab.N.size, 997)}:
+            np.testing.assert_array_equal(risk.view(np.uint64), full.loo.view(np.uint64),
+                                          err_msg=f"{name}: R_1")
+            mse = full.mse if lpo else full_family(sample, tab, False).mse
+            for j in {int(full.risk.argmin()), 0, tab.N.size - 1, *range(0, tab.N.size, 997)}:
                 got_cc, got_p, got_risk, coeffs = _rescore(sample.m, sums, tab, j)
-                mse = selection_mse(coeffs, got_p if adaptive_p else 1.0)[0]
-                for field, got, want in (("cc", got_cc, full.cc[j]), ("p_hat", got_p, lpo.p_hat[j]),
-                                         ("risk", got_risk, lpo.risk[j]),
-                                         ("mse", mse, full.mse[j])):
+                got_mse = selection_mse(coeffs, got_p if lpo else 1.0)[0]
+                for field, got, want in (("cc", got_cc, full.cc[j]), ("p_hat", got_p, full.p_hat[j]),
+                                         ("risk", got_risk, full.risk[j]),
+                                         ("mse", got_mse, mse[j])):
                     assert same_bits(got, want), (name, j, field)
 
     @pytest.mark.parametrize("method", ["lpo", "loo"])

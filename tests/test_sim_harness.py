@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pi0cv import sim_harness
-from pi0cv.errors import InputError, InvalidAlpha
+from pi0cv.errors import InputError, InvalidAlpha, InvalidSample
 from pi0cv.sim_harness import (
     KIND_FIELDS,
     ScenarioSpec,
@@ -156,8 +156,8 @@ class TestAssemble:
     def test_generated_values_match_stable_argsort(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        # small pools make ties, with one label or both, the common case;
-        # NaN, which a ushape draw with infinite b and sd can hold, sorts last
+        # small pools make ties, with one label or both, the common case; a
+        # NaN breaks PValueSample's contract, so a sample holding one is refused
         edges = [0.0, -0.0, 1.0, 0.5, 0.25, 1 / 3, 2 / 3, 0.1, 0.7, 1 / 7, math.nan]
         pool = st.sampled_from(edges) | st.floats(0.0, 1.0)
 
@@ -166,7 +166,11 @@ class TestAssemble:
         def check(pairs):
             values = np.array([v for v, _ in pairs], dtype=float)
             nulls = np.array([n for _, n in pairs], dtype=bool)
-            _assert_same_as_stable_argsort(values, nulls)
+            if np.isnan(values).any():
+                with pytest.raises(InvalidSample):
+                    sim_harness._assemble(values, nulls)
+            else:
+                _assert_same_as_stable_argsort(values, nulls)
 
         check()
 
@@ -234,6 +238,23 @@ class TestScenarioSpecValidation:
         with pytest.raises(InputError) as info:
             ScenarioSpec(kind=kind, pi0=0.5, m=10, reps=1, seed=0, **kwargs, **{extra: 0.2})
         assert str(info.value) == f"kind {kind} does not use {extra}"
+
+    @pytest.mark.parametrize("kind, kwargs, name, value", [
+        ("beta_tail", dict(s=10.0), "pi0", math.nan),
+        ("beta_tail", dict(s=10.0), "s", math.nan),
+        ("beta_tail", dict(s=10.0), "s", math.inf),
+        ("trunc_beta", dict(s=4.0, lambda_star=0.2), "lambda_star", math.nan),
+        ("ushape", dict(a=-1.0, b=1.0, sd=0.5), "a", -math.inf),
+        ("ushape", dict(a=-1.0, b=1.0, sd=0.5), "b", math.inf),
+        ("ushape", dict(a=-1.0, b=1.0, sd=0.5), "sd", math.nan),
+        ("ushape", dict(a=-1.0, b=1.0, sd=0.5), "sd", math.inf),
+    ])
+    def test_non_finite_field(self, kind, kwargs, name, value):
+        fields = dict(pi0=0.5, **kwargs)
+        fields[name] = value
+        with pytest.raises(InputError) as info:
+            ScenarioSpec(kind=kind, m=10, reps=1, seed=0, **fields)
+        assert str(info.value) == f"{name} must be finite, got {value}"
 
 
 def _tiny_spec(**over):
@@ -336,6 +357,12 @@ class TestScenarioFiles:
         f = tmp_path / "s.conf"
         f.write_text("kind = beta_tail\ns = 10\nlambda_star = 0.2\nsd = 3\n")
         with pytest.raises(InputError, match="^kind beta_tail does not use lambda_star$"):
+            parse_scenario_file(f)
+
+    def test_non_finite_value(self, tmp_path):
+        f = tmp_path / "s.conf"
+        f.write_text("kind = beta_tail\npi0 = 0.5\ns = nan\nm = 20\nreps = 1\nseed = 0\n")
+        with pytest.raises(InputError, match="^s must be finite, got nan$"):
             parse_scenario_file(f)
 
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.conf")), ids=lambda p: p.name)
