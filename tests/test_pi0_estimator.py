@@ -321,6 +321,34 @@ class TestSelectionOracle:
             spoiled = np.flatnonzero(hole)
             self._check(sample, method, (se_band,), zip(spoiled, hole[spoiled]))
 
+    def test_non_finite_holdout_risks_are_ignored(self, monkeypatch):
+        # the kernel returns NaN or an infinity at the holdout, and a finite
+        # R_1, for the three best partitions, R_1's argmin among them
+        import pi0cv.pi0_estimator as mod
+
+        real_score = mod._score
+        tab = mod._tables(1, 100)
+        keys = tab.idx_k * 2**20 + tab.idx_l        # one per partition
+        order = np.argsort(keys)
+        rng = np.random.default_rng(62)
+        sample = load_sample(np.where(rng.random(1000) < 0.7, rng.random(1000),
+                                      rng.beta(1, 10, 1000)))
+        full = full_family(sample, tab, True)
+        best = np.argsort(full.risk, kind="stable")[:3]
+        assert np.argmin(full.loo) in best
+        hole = np.zeros(tab.N.size)
+        hole[best] = [np.nan, -np.inf, np.inf]
+
+        def score_with_holes(m, sums, ik, il, *args, adaptive_p):
+            *rest, risk = real_score(m, sums, ik, il, *args, adaptive_p=adaptive_p)
+            if not adaptive_p:
+                return (*rest, risk)
+            h = hole[order[np.searchsorted(keys[order], ik * 2**20 + il)]]
+            return (*rest, np.where(h == 0, risk, h))
+
+        monkeypatch.setattr(mod, "_score", score_with_holes)
+        self._check(sample, "lpo", (0.0, 0.25), zip(best, hole[best]))
+
     def test_generated_samples_match_full_lexsort(self):
         # the pruned search against the unpruned family on samples with
         # values on grid edges, ties, all mass at 0 or 1, and m = 2 or 3
