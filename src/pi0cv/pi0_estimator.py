@@ -26,7 +26,7 @@ afresh on every call.  Every operation is elementwise, so the blocks return
 the same bits as one pass over the whole family.  The scan ranks, keeping
 one risk per partition; the re-score explains the pick: ``_rescore`` runs
 the same kernel on one partition from the scan's sums, for the argmin's SE
-and the winner's central count and p_hat.
+and the winner's central count, p_hat and lpo risk.
 
 lpo scores the holdout only where a partition can still win.  Its risk is
 
@@ -215,29 +215,26 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
 
     # the family is in selection order, so the first index wins every tie
     j = int(r1.argmin())
-    risk = r1[j]
     if lpo:
         t0 = next(_lpo_blocks(m, sums, tab, np.array([j])))[0]
         rows = np.flatnonzero(r1 <= t0 + tab.margin)
         rp = np.concatenate(list(_lpo_blocks(m, sums, tab, rows)))
-        j, risk = int(rows[rp.argmin()]), rp.min()
+        j = int(rows[rp.argmin()])
     if cfg.se_band > 0.0:
         # loo's SE is the selection MSE at its own holdout, p = 1
-        _, p, _, coeffs = _rescore(m, sums, tab, j)
+        _, p, risk, coeffs = _rescore(m, sums, tab, j)
         se = np.sqrt(max(float(selection_mse(coeffs, p if lpo else 1.0)[0]), 0.0))
-        band = risk + cfg.se_band * (se if np.isfinite(se) else 0.0)
+        band = (risk if lpo else r1[j]) + cfg.se_band * (se if np.isfinite(se) else 0.0)
         if lpo:
             rows = np.flatnonzero(r1 <= band + tab.margin)
             for lo, rp in zip(range(0, rows.size, _BLOCK), _lpo_blocks(m, sums, tab, rows)):
                 if (rp <= band).any():
-                    i = int(np.argmax(rp <= band))
-                    j, risk = int(rows[lo + i]), rp[i]
+                    j = int(rows[lo + np.argmax(rp <= band)])
                     break
         else:
             j = int(np.argmax(r1 <= band))
-            risk = r1[j]
 
-    cc, p_hat, _, _ = _rescore(m, sums, tab, j)
+    cc, p_hat, risk, _ = _rescore(m, sums, tab, j)
     pi0_raw = cc / (m * tab.W[j])
     return Pi0Estimate(
         method=cfg.method,
@@ -248,7 +245,7 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
         mu_hat=float(tab.L[j] / tab.Nf[j]),
         n_hat=int(tab.N[j]),
         p_hat=int(p_hat) if lpo else 1,
-        risk=float(risk),
+        risk=float(risk if lpo else r1[j]),
     )
 
 
