@@ -191,8 +191,8 @@ class TestEstimateProperties:
         rng = np.random.default_rng(48)
         sample = load_sample(rng.random(60) ** 1.3)
         tab = _tables(1, 10)
-        # the scan keeps the lpo risk of its candidates only; the kernel
-        # scores every partition alone from the scan's sums
+        # the scan keeps R_1 only; the kernel scores every partition alone
+        # from the scan's sums
         _, sums = _scan(sample, tab)
         cc, phat, risk = np.array([_rescore(sample.m, sums, tab, j)[:3]
                                    for j in range(tab.N.size)]).T
@@ -230,8 +230,8 @@ def _lexsort_selection(tab, risk, mse_at_p, se_band):
     with the SE read from the family's selection MSE ``mse_at_p``.
 
     This is the selection as first written, kept as the oracle for
-    ``estimate_pi0``, which sorts only the tie set at the minimum and the band
-    and re-scores the argmin partition alone for its SE.
+    ``estimate_pi0``, which stores the family in this order, takes the first
+    index that qualifies and re-scores the argmin partition alone for its SE.
     """
     risk = np.where(np.isfinite(risk), risk, np.inf)
     dim = tab.N + 1 - (tab.L - tab.K)
@@ -401,7 +401,8 @@ class TestSelectionOracle:
     def test_small_blocks_match_full_lexsort(self, monkeypatch, method):
         # lpo's stages in blocks of 7 partitions cross block edges, and on the
         # added sample the band walk passes its first block.  The scan keeps
-        # its own blocks, which TestBlockedScan covers; in 7s it takes ~1 s.
+        # its own blocks, which TestBlockedScan covers: in blocks of 7 it
+        # would take ~1 s a call.
         import pi0cv.pi0_estimator as mod
 
         real_scan, real_blocks, block = mod._scan, mod._lpo_blocks, mod._BLOCK
