@@ -272,13 +272,12 @@ def _not_utf8(path: Path) -> InputError:
 
 
 def partition_count(n_min: int, n_max: int) -> int:
-    """Closed-form size of the family: sum of N(N+1)/2 over the grid range."""
+    """Closed-form size of the family: sum of N(N+1)/2 over the grid range,
+    a difference of tetrahedral numbers b(b+1)(b+2)/6."""
     if n_min < 1 or n_min > n_max:
         raise InvalidRange(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
-    total = 0
-    for n in range(n_min, n_max + 1):
-        total += n * (n + 1) // 2
-    return total
+    a, b = n_min, n_max
+    return (b * (b + 1) * (b + 2) - (a - 1) * a * (a + 1)) // 6
 
 
 def enumerate_partitions(n_min: int, n_max: int) -> Iterator[PartitionSpec]:

@@ -35,9 +35,10 @@ variance at 0, which the exact coefficients never need on [1, m-1].  The MSE
 polynomial, the holdout rule, the selection MSE and the risk are each
 written once here, for floats or arrays.  ``_score`` alone turns grid prefix
 sums into per-partition values.  The risk reads s11 and s21 only, all that
-loo's scan forms; lpo's scan and ``pi0_estimator._rescore`` add s12, s22 and
-s32 for the holdout rule and the SE, and risk-debug's records add s31; the
-fsum chain (``moment_sums`` to ``lpo_risk``) is the one-partition reference.
+the p = 1 scan forms; lpo's candidate blocks and ``pi0_estimator._rescore``
+add s12, s22 and s32 for the holdout rule and the SE, and risk-debug's
+records add s31; the fsum chain (``moment_sums`` to ``lpo_risk``) is the
+one-partition reference.
 
 A second coefficient encoding (``phi_coefficients``, fields phi0..phi3) is
 kept because the risk-debug interface reports it for cross-implementation

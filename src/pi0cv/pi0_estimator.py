@@ -26,20 +26,23 @@ afresh on every call.  Every operation is elementwise, so the blocks return
 the same bits as one pass over the whole family.  The scan ranks, keeping
 one risk per partition; the re-score explains the pick: ``_rescore`` runs
 the same kernel on one partition from the scan's sums, for the argmin's SE
-and the winner's central count, p_hat and lpo risk.
+and the winner's central count, p_hat and risk.
 
-lpo scores the holdout only where a partition can still win.  Its risk is
+lpo and loo take one path and differ only in their holdout: lpo's is the
+adaptive p_hat, loo's is p = 1.  The risk at p is
 
     R_p = [s11 - m s21 + m (s11 - s21) / (m - p)] / (m - 1),
 
 and s11 - s21 = sum_k alpha_k (1 - alpha_k) / w_k >= 0, so R_p grows with p
-and loo's R_1, read from the same s11 and s21, bounds every partition's
-R_p from below.  The scan scores the family at p = 1, which is loo's whole
-scan.  lpo then scores at the holdout, a block at a time, only what can
-win: for the argmin, the partitions whose R_1 is within the margin of T0,
-the lpo risk of R_1's argmin, which hold every lpo argmin and all that tie
-with it; for the band, those whose R_1 is within the margin of its upper
-edge, walked in family order up to the first block that holds a member.
+and R_1, read from the same s11 and s21, bounds every partition's R_p from
+below.  The scan scores the family at p = 1.  Selection then reads risks at
+the holdout, a block at a time, only where a partition can still win: for
+the argmin, the partitions whose R_1 is within the margin of T0, the risk at
+the holdout of R_1's argmin, which hold every argmin and all that tie with
+it; for the band, those whose R_1 is within the margin of its upper edge,
+walked in family order up to the first block that holds a member.  lpo
+scores those candidates at their holdout; loo reads them from R_1, so it
+scores nothing past the scan but the re-scores.
 
 The margin bounds how far the computed R_1 can exceed the computed R_p.
 Write R_p = (A s11 - B s21) / D with A = 2m - p, B = m (m - p + 1) and
@@ -59,13 +62,14 @@ it against the computed R_1 - R_p of whole families.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvalidLambda, InvalidRange
 from .histogram_core import PartitionSpec, PValueSample
-from .lpo_risk import _grid_sums, _mse_polynomial, _score, selection_mse
+from .lpo_risk import _grid_sums, _mse_polynomial, _risk_from_sums, _score, selection_mse
 
 __all__ = [
     "EstimatorConfig",
@@ -152,14 +156,9 @@ class _SearchTables:
         self.margin = 64 * np.finfo(float).eps * n_max
 
 
-_tables_cache: dict[tuple[int, int], _SearchTables] = {}
-
-
+@cache
 def _tables(n_min: int, n_max: int) -> _SearchTables:
-    key = (n_min, n_max)
-    if key not in _tables_cache:
-        _tables_cache[key] = _SearchTables(n_min, n_max)
-    return _tables_cache[key]
+    return _SearchTables(n_min, n_max)
 
 
 def _scan(sample: PValueSample, tab: _SearchTables):
@@ -175,22 +174,29 @@ def _scan(sample: PValueSample, tab: _SearchTables):
     return risk, sums
 
 
-def _lpo_blocks(m: int, sums, tab: _SearchTables, rows: np.ndarray):
-    """The lpo risks of the partitions ``rows``, at their own holdout, one
-    block of ``_BLOCK`` rows at a time; a non-finite risk reads +inf."""
+def _risk_blocks(method: str, m: int, sums, tab: _SearchTables, r1, rows: np.ndarray):
+    """The risks of the partitions ``rows`` at the method's holdout, one block
+    of ``_BLOCK`` rows at a time: lpo scores them at their own holdout, loo
+    reads them from the scan's R_1 ``r1``; a non-finite risk reads +inf."""
     for lo in range(0, rows.size, _BLOCK):
         j = rows[lo:lo + _BLOCK]
+        if method == "loo":
+            yield r1[j]
+            continue
         risk = _score(m, sums, tab.idx_k[j], tab.idx_l[j], tab.idx_n[j],
                       tab.Nf[j], tab.W[j], adaptive_p=True)[-1]
         yield np.where(np.isfinite(risk), risk, np.inf)
 
 
-def _rescore(m: int, sums, tab: _SearchTables, j: int):
-    """Partition j scored alone from the per-grid sums ``_scan`` returns, with
-    the adaptive holdout: its central count, p_hat, risk and MSE polynomial."""
+def _rescore(method: str, m: int, sums, tab: _SearchTables, j: int):
+    """Partition j scored alone from the per-grid sums ``_scan`` returns, at the
+    method's holdout: its central count, p_hat, risk and MSE polynomial.  loo's
+    p_hat is 1 and its risk R_1, from the same sums as the scan's."""
     one = slice(j, j + 1)
     cc, moments, p, _, risk = _score(m, sums, tab.idx_k[one], tab.idx_l[one],
                                      tab.idx_n[one], tab.Nf[one], tab.W[one], adaptive_p=True)
+    if method == "loo":
+        p, risk = np.ones(1), _risk_from_sums(*moments[:2], m, 1.0)
     return cc[0], p[0], risk[0], _mse_polynomial(m, *moments)
 
 
@@ -201,40 +207,36 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
         return ss_estimator(sample, lam, method=cfg.method)
     tab = _tables(cfg.n_min, cfg.n_max)
     m = sample.m
-    lpo = cfg.method == "lpo"
     r1, sums = _scan(sample, tab)
-
-    finite = np.isfinite(r1)
-    if not finite.any():
-        spec = PartitionSpec(cfg.n_min, 0, cfg.n_min)
-        return Pi0Estimate(method=cfg.method, m=m, pi0_raw=1.0, pi0=1.0,
-                           lambda_hat=spec.lam, mu_hat=spec.mu, n_hat=spec.n,
-                           p_hat=1, risk=None, degenerate=True)
-    if not finite.all():
-        r1 = np.where(finite, r1, np.inf)
 
     # the family is in selection order, so the first index wins every tie
     j = int(r1.argmin())
-    if lpo:
-        t0 = next(_lpo_blocks(m, sums, tab, np.array([j])))[0]
-        rows = np.flatnonzero(r1 <= t0 + tab.margin)
-        rp = np.concatenate(list(_lpo_blocks(m, sums, tab, rows)))
-        j = int(rows[rp.argmin()])
-    if cfg.se_band > 0.0:
-        # loo's SE is the selection MSE at its own holdout, p = 1
-        _, p, risk, coeffs = _rescore(m, sums, tab, j)
-        se = np.sqrt(max(float(selection_mse(coeffs, p if lpo else 1.0)[0]), 0.0))
-        band = (risk if lpo else r1[j]) + cfg.se_band * (se if np.isfinite(se) else 0.0)
-        if lpo:
-            rows = np.flatnonzero(r1 <= band + tab.margin)
-            for lo, rp in zip(range(0, rows.size, _BLOCK), _lpo_blocks(m, sums, tab, rows)):
-                if (rp <= band).any():
-                    j = int(rows[lo + np.argmax(rp <= band)])
-                    break
-        else:
-            j = int(np.argmax(r1 <= band))
+    if not np.isfinite(r1[j]):          # a NaN or -inf, or all +inf
+        finite = np.isfinite(r1)
+        if not finite.any():
+            spec = PartitionSpec(cfg.n_min, 0, cfg.n_min)
+            return Pi0Estimate(method=cfg.method, m=m, pi0_raw=1.0, pi0=1.0,
+                               lambda_hat=spec.lam, mu_hat=spec.mu, n_hat=spec.n,
+                               p_hat=1, risk=None, degenerate=True)
+        r1 = np.where(finite, r1, np.inf)
+        j = int(r1.argmin())
 
-    cc, p_hat, risk, _ = _rescore(m, sums, tab, j)
+    risks = partial(_risk_blocks, cfg.method, m, sums, tab, r1)
+    t0 = next(risks(np.array([j])))[0]
+    rows = np.flatnonzero(r1 <= t0 + tab.margin)
+    j = int(rows[np.concatenate(list(risks(rows))).argmin()])
+    if cfg.se_band > 0.0:
+        _, p, risk, coeffs = _rescore(cfg.method, m, sums, tab, j)
+        se = np.sqrt(max(float(selection_mse(coeffs, p)[0]), 0.0))
+        band = risk + cfg.se_band * (se if np.isfinite(se) else 0.0)
+        # j is a member, so the walk ends by it
+        rows = np.flatnonzero(r1[:j + 1] <= band + tab.margin)
+        for lo, rp in zip(range(0, rows.size, _BLOCK), risks(rows)):
+            if (rp <= band).any():
+                j = int(rows[lo + np.argmax(rp <= band)])
+                break
+
+    cc, p_hat, risk, _ = _rescore(cfg.method, m, sums, tab, j)
     pi0_raw = cc / (m * tab.W[j])
     return Pi0Estimate(
         method=cfg.method,
@@ -244,8 +246,8 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
         lambda_hat=float(tab.K[j] / tab.Nf[j]),
         mu_hat=float(tab.L[j] / tab.Nf[j]),
         n_hat=int(tab.N[j]),
-        p_hat=int(p_hat) if lpo else 1,
-        risk=float(risk if lpo else r1[j]),
+        p_hat=int(p_hat),
+        risk=float(risk),
     )
 
 

@@ -9,6 +9,7 @@ be evaluated in any order.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -218,10 +219,6 @@ def draw_sample(spec: ScenarioSpec, rng) -> tuple[PValueSample, np.ndarray]:
     return sample_ushape(spec.pi0, spec.a, spec.b, spec.sd, spec.m, rng)
 
 
-def _method_config(method: str) -> EstimatorConfig:
-    return EstimatorConfig(method=method)
-
-
 def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS, alpha: float = 0.15,
                  delta: float = 0.0) -> SummaryTable:
     """Replicated estimation and testing study.
@@ -242,7 +239,7 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS, alpha: float = 0.1
         rr = ReplicateResult(rep=rep, seed_used=spec.seed)
         try:
             for method in methods:
-                est = estimate_pi0(sample, _method_config(method))
+                est = estimate_pi0(sample, EstimatorConfig(method=method))
                 rr.pi0_hat[method] = est.pi0
                 res = plugin_mtp(sample, alpha, est, delta)
                 em = error_metrics(res, nulls)
@@ -281,8 +278,7 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS, alpha: float = 0.1
                         valid=not any(r.failed for r in replicates))
 
 
-_SCENARIO_KEYS = ("kind", "pi0", "m", "reps", "seed", "s", "lambda_star", "a", "b", "sd",
-                 "alpha")
+_SCENARIO_KEYS = (*(f.name for f in dataclasses.fields(ScenarioSpec)), "alpha")
 
 
 def parse_scenario_file(path: str | Path) -> tuple[ScenarioSpec, float]:

@@ -231,7 +231,7 @@ def test_ac8_consistency_trend():
 
 
 def test_ac9_search_performance():
-    pi0_mod._tables_cache.clear()
+    pi0_mod._tables.cache_clear()
     rng = np.random.default_rng(9)
     sample = load_sample(rng.random(1000))
     start = time.perf_counter()

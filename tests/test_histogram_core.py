@@ -118,6 +118,16 @@ class TestEnumeratePartitions:
         stream = sum(1 for _ in enumerate_partitions(1, 100))
         assert stream == 171_700
 
+    def test_partition_count_equals_the_enumeration(self):
+        for a in range(1, 13):
+            for b in range(a, 13):
+                assert partition_count(a, b) == sum(1 for _ in enumerate_partitions(a, b))
+
+    def test_partition_count_rejects_invalid_ranges(self):
+        for a, b in ((0, 5), (5, 3), (-1, -1)):
+            with pytest.raises(InvalidRange):
+                partition_count(a, b)
+
     def test_per_resolution_count(self):
         for n in (1, 2, 5, 9):
             assert sum(1 for _ in enumerate_partitions(n, n)) == n * (n + 1) // 2

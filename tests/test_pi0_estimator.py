@@ -194,7 +194,7 @@ class TestEstimateProperties:
         # the scan keeps R_1 only; the kernel scores every partition alone
         # from the scan's sums
         _, sums = _scan(sample, tab)
-        cc, phat, risk = np.array([_rescore(sample.m, sums, tab, j)[:3]
+        cc, phat, risk = np.array([_rescore("lpo", sample.m, sums, tab, j)[:3]
                                    for j in range(tab.N.size)]).T
         row = {key: j for j, key in enumerate(zip(tab.N.tolist(), tab.K.tolist(), tab.L.tolist()))}
         for spec in enumerate_partitions(1, 10):
@@ -399,13 +399,13 @@ class TestSelectionOracle:
 
     @pytest.mark.parametrize("method", ["lpo", "loo"])
     def test_small_blocks_match_full_lexsort(self, monkeypatch, method):
-        # lpo's stages in blocks of 7 partitions cross block edges, and on the
-        # added sample the band walk passes its first block.  The scan keeps
+        # the stages in blocks of 7 partitions cross block edges, and on the
+        # added samples the band walk passes its first block.  The scan keeps
         # its own blocks, which TestBlockedScan covers: in blocks of 7 it
         # would take ~1 s a call.
         import pi0cv.pi0_estimator as mod
 
-        real_scan, real_blocks, block = mod._scan, mod._lpo_blocks, mod._BLOCK
+        real_scan, real_blocks, block = mod._scan, mod._risk_blocks, mod._BLOCK
         walked = []
 
         def scan_in_own_blocks(sample, tab):
@@ -423,14 +423,46 @@ class TestSelectionOracle:
 
         monkeypatch.setattr(mod, "_BLOCK", 7)
         monkeypatch.setattr(mod, "_scan", scan_in_own_blocks)
-        monkeypatch.setattr(mod, "_lpo_blocks", counted_blocks)
+        monkeypatch.setattr(mod, "_risk_blocks", counted_blocks)
         rng = np.random.default_rng(60)
+        # all mass in one cell of N = 49, where the computed 1 / (1/49)
+        # exceeds 49: the partition whose central cell holds the mass scores
+        # an ulp below the hundreds of partitions that tie with it before it,
+        # within the margin above a band of SE 0
         samples = dict(_selection_samples(),
-                       walk=np.where(rng.random(50) < 0.8, rng.random(50), rng.beta(1, 20, 50)))
-        for raw in samples.values():
+                       walk=np.where(rng.random(50) < 0.8, rng.random(50), rng.beta(1, 20, 50)),
+                       tie_walk=np.array([16.001, 16.001, 16.999]) / 49)
+        walks = {}
+        for name, raw in samples.items():
             self._check(load_sample(raw), method, (0.0, 0.25))
+            walks[name] = walked[-1]    # the sample's band walk
         if method == "lpo":
-            assert walked[-1] > 1       # the last sample's band walk
+            assert walks["walk"] > 1
+        assert walks["tie_walk"] > 1
+
+    @pytest.mark.parametrize("se_band", [0.0, 0.25])
+    def test_loo_scores_nothing_at_a_holdout(self, monkeypatch, se_band):
+        # loo reads its candidates from the scan's R_1: past the scan's own
+        # blocks, the kernel runs only on the re-scores' single partitions
+        import pi0cv.pi0_estimator as mod
+
+        real_score = mod._score
+        tab = mod._tables(1, 100)
+        scan_calls = -(-tab.N.size // mod._BLOCK)
+        calls = []
+
+        def spy(m, sums, ik, *args, adaptive_p):
+            calls.append((ik.size, adaptive_p))
+            return real_score(m, sums, ik, *args, adaptive_p=adaptive_p)
+
+        monkeypatch.setattr(mod, "_score", spy)
+        for name, raw in _selection_samples().items():
+            calls.clear()
+            estimate_pi0(load_sample(raw), EstimatorConfig(method="loo", se_band=se_band))
+            scan, rest = calls[:scan_calls], calls[scan_calls:]
+            assert not any(adaptive for _, adaptive in scan), name
+            assert sum(size for size, _ in scan) == tab.N.size, name
+            assert len(rest) <= 2 and all(size == 1 for size, _ in rest), (name, rest)
 
     def test_selection_sorts_nothing(self, monkeypatch):
         # the family is stored in selection order: no call sorts, the
@@ -444,7 +476,7 @@ class TestSelectionOracle:
                 calls.append(_name)
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np, name, spy)
-        monkeypatch.setattr(mod, "_tables_cache", {})
+        mod._tables.cache_clear()
         for sample in samples:
             for method in ("lpo", "loo"):
                 for se_band in (0.0, 0.25):
@@ -495,7 +527,7 @@ class TestBlockedScan:
                                         (1, 100)], ids=str)
     def test_bit_identical_to_unblocked_scan(self, family, method):
         # compared with the unpruned family: the scan is R_1 for either
-        # method, and the re-score gives the adaptive holdout and its risk
+        # method, and the re-score gives the method's holdout and its risk
         from pi0cv.lpo_risk import selection_mse
         from pi0cv.pi0_estimator import _BLOCK, _rescore, _scan
 
@@ -516,14 +548,16 @@ class TestBlockedScan:
             assert risk.shape == (tab.N.size,), name
             np.testing.assert_array_equal(risk.view(np.uint64), full.loo.view(np.uint64),
                                           err_msg=f"{name}: R_1")
-            mse = full.mse if lpo else full_family(sample, tab, False).mse
+            # loo's holdout is p = 1, its risk R_1
+            want = full if lpo else full_family(sample, tab, False)
             for j in {int(full.risk.argmin()), 0, tab.N.size - 1, *range(0, tab.N.size, 997)}:
-                got_cc, got_p, got_risk, coeffs = _rescore(sample.m, sums, tab, j)
-                got_mse = selection_mse(coeffs, got_p if lpo else 1.0)[0]
-                for field, got, want in (("cc", got_cc, full.cc[j]), ("p_hat", got_p, full.p_hat[j]),
-                                         ("risk", got_risk, full.risk[j]),
-                                         ("mse", got_mse, mse[j])):
-                    assert same_bits(got, want), (name, j, field)
+                got_cc, got_p, got_risk, coeffs = _rescore(method, sample.m, sums, tab, j)
+                got_mse = selection_mse(coeffs, got_p)[0]
+                for field, got, want_j in (("cc", got_cc, want.cc[j]),
+                                           ("p_hat", got_p, want.p_hat[j]),
+                                           ("risk", got_risk, want.risk[j]),
+                                           ("mse", got_mse, want.mse[j])):
+                    assert same_bits(got, want_j), (name, j, field)
 
     @pytest.mark.parametrize("method", ["lpo", "loo"])
     def test_peak_memory_below_four_family_arrays(self, method):
