@@ -85,8 +85,11 @@ def _step_up(sample: PValueSample, alpha: float, theta: float, delta: float) -> 
         raise InvalidTheta(f"theta must lie in (0, 1], got {theta}")
     p = sample.values
     m = sample.m
-    cut = np.arange(1, m + 1) * (alpha / (m * theta))
-    hits = np.nonzero(p <= cut)[0]
+    c = alpha / (m * theta)
+    # the cut i c never falls as i grows, so only the p-values up to the last
+    # cut, m c (as arange(1, m + 1) * c rounds it), can lie on or under theirs
+    n = int(np.searchsorted(p, m * c, side="right"))
+    hits = np.flatnonzero(p[:n] <= np.arange(1, n + 1) * c)
     if hits.size == 0:
         return MtpResult(threshold=0.0, rejected=np.empty(0, dtype=np.int64), k_hat=0,
                          alpha=alpha, theta=theta, delta=delta, m=m)
@@ -131,10 +134,17 @@ def error_metrics(result: MtpResult, labels) -> ErrorMetrics:
     labels = np.asarray(labels, dtype=bool)
     if labels.size != result.m:
         raise LengthMismatch(f"{labels.size} labels for m={result.m}")
-    rej = np.zeros(result.m, dtype=bool)
-    rej[result.rejected] = True
+    # the mask need reach no further than the largest index, when all are in range
+    idx = result.rejected
+    span = result.m
+    if idx.size == 0:
+        span = 0
+    elif 0 <= idx.min() and idx.max() < span:
+        span = int(idx.max()) + 1
+    rej = np.zeros(span, dtype=bool)
+    rej[idx] = True
     r = int(np.count_nonzero(rej))
-    fp = int(np.count_nonzero(rej & labels))
+    fp = int(np.count_nonzero(rej & labels[:span]))
     n_alt = result.m - int(np.count_nonzero(labels))
     missed = n_alt - (r - fp)
     return ErrorMetrics(fdp=fp / max(r, 1), fnr=missed / max(n_alt, 1), fp=fp, r=r)

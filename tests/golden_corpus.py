@@ -67,6 +67,9 @@ def cases() -> dict[str, list[str]]:
     out["mtp_m1000"] = ["mtp", "--input", "{m1000}", "--alpha", "0.15"]
     out["simulate_beta_tail"] = ["simulate", "--kind", "beta_tail", "--pi0", "0.5",
                                  "--s", "10", "--m", "1000", "--reps", "2", "--seed", "14"]
+    out["simulate_ushape"] = ["simulate", "--kind", "ushape", "--pi0", "0.5", "--a", "-1.5",
+                              "--b", "1.5", "--sd", "0.5", "--m", "1000", "--reps", "2",
+                              "--seed", "13"]
     for name in ("m20_narrow", "m1000", "m50_half", "m3"):
         out[f"risk_debug_all_{name}"] = ["risk-debug", "--input", f"{{{name}}}",
                                          "--all", "--nmax", "10"]

@@ -186,6 +186,50 @@ class TestStepUpEquivalence:
             assert plugin_mtp(s, 0.15, theta).k_hat >= bh_procedure(s, 0.15).k_hat
 
 
+def _full_cut_step_up(values, alpha, theta):
+    """k_hat, threshold and rejections with the cut built over all m ranks."""
+    m = values.size
+    cut = np.arange(1, m + 1) * (alpha / (m * theta))
+    hits = np.nonzero(values <= cut)[0]
+    if hits.size == 0:
+        return 0, 0.0, np.empty(0, dtype=np.int64)
+    k_hat = int(hits[-1]) + 1
+    t = max(alpha * k_hat / (m * theta), float(values[k_hat - 1]))
+    if k_hat < m:
+        t = min(t, float(np.nextafter(values[k_hat], -np.inf)))
+    return k_hat, min(t, 1.0), np.arange(k_hat)
+
+
+class TestStepUpPrefix:
+    """The step-up reads only the p-values up to the last cut m alpha / (m theta)."""
+
+    @pytest.mark.parametrize("theta", [1.0, 0.5, 1e-3])
+    def test_matches_full_cut_reference(self, theta):
+        rng = np.random.default_rng(13)
+        cases = []
+        for m in (2, 3, 10, 1000):
+            cases += [np.zeros(m), np.ones(m)]
+            for alpha in (0.05, 0.15, 0.5):
+                cut = np.arange(1, m + 1) * (alpha / (m * theta))
+                near = [np.minimum(v, 1.0) for v in
+                        (cut, np.nextafter(cut, np.inf), np.nextafter(cut, -np.inf))]
+                cases += near
+                # each rank on its cut or on a neighbour of it, and the tail
+                # past the last cut moved to 1
+                for _ in range(5):
+                    pick = np.choose(rng.integers(0, 3, m), near)
+                    cases.append(pick)
+                    cases.append(np.where(np.arange(m) < rng.integers(0, m + 1), pick, 1.0))
+        for values in cases:
+            s = load_sample(np.sort(values))
+            for alpha in (0.05, 0.15, 0.5):
+                res = plugin_mtp(s, alpha, theta)
+                k_hat, t, rejected = _full_cut_step_up(s.values, alpha, theta)
+                assert res.k_hat == k_hat
+                assert np.float64(res.threshold).view(np.uint64) == np.float64(t).view(np.uint64)
+                assert np.array_equal(res.rejected, rejected)
+
+
 class TestErrorMetrics:
     def _result(self, m, rejected):
         rejected = np.asarray(rejected, dtype=np.int64)
@@ -220,6 +264,10 @@ class TestErrorMetrics:
     def test_duplicated_index_counts_once(self):
         em = error_metrics(self._result(4, [1, 1, 0, 0]), [True, False, False, True])
         assert (em.r, em.fp, em.fdp, em.fnr) == (2, 1, 0.5, 0.5)
+
+    def test_index_out_of_range_raises(self):
+        with pytest.raises(IndexError):
+            error_metrics(self._result(4, [0, 4]), [True, False, False, True])
 
     def test_matches_counting_by_mask(self):
         # any index array, prefix or not, repeated or negative, against

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,92 @@ class TestNormalCdf:
     ])
     def test_reference_values(self, x, expected):
         assert normal_cdf(x) == pytest.approx(expected, abs=1e-12)
+
+    def test_exact_at_zero_infinities_and_nan(self):
+        assert normal_cdf(0.0) == 0.5 and normal_cdf(-0.0) == 0.5
+        assert normal_cdf(np.inf) == 1.0 and normal_cdf(-np.inf) == 0.0
+        assert np.isnan(normal_cdf(np.nan))
+
+    def test_scalar_and_array_returns(self):
+        assert type(normal_cdf(0.5)) is np.float64
+        assert type(normal_cdf(np.array(0.5))) is np.float64
+        assert normal_cdf(np.zeros((2, 3))).shape == (2, 3)
+        assert normal_cdf([]).shape == (0,)
+        # more than one block, each value in its place
+        x = np.linspace(-3.0, 3.0, 3 * sim_harness._CDF_BLOCK + 8)
+        pieces = [normal_cdf(x[lo:lo + 1000]) for lo in range(0, x.size, 1000)]
+        assert np.array_equal(normal_cdf(x), np.concatenate(pieces))
+        assert np.array_equal(normal_cdf(x.reshape(-1, 8)).ravel(), normal_cdf(x))
+
+    def test_million_arguments_within_declared_bound(self):
+        # the statistics X / sigma0 of two ushape designs, and a sweep of x
+        x = [np.linspace(-40.0, 40.0, 1_000_001)]
+        for a, b, sd in ((-1.5, 1.5, 0.5), (-40.0, 40.0, 1.0)):
+            rng = replicate_rng(9, 0)
+            comp = rng.random(250_000)
+            mean = np.where(comp < 0.5, 0.0, np.where(comp < 0.75, a, b))
+            scale = np.where(comp < 0.5, sim_harness.USHAPE_NULL_SD, sd)
+            x.append(rng.normal(mean, scale) / sim_harness.USHAPE_NULL_SD)
+        x = np.concatenate(x)
+        t = -x / math.sqrt(2.0)
+        ref_erfc = _math_erfc(t)
+        assert np.max(_ulps(sim_harness._erfc(t), ref_erfc)) <= sim_harness._ERFC_ULPS
+        ref = 0.5 * ref_erfc
+        got = normal_cdf(x)
+        cdf_bound = sim_harness._ERFC_ULPS * 2.0 ** -53
+        assert np.max(np.abs(got - ref)) <= cdf_bound
+        assert np.max(np.abs((1.0 - got) - (1.0 - ref))) <= cdf_bound + 2.0 ** -53
+
+    def test_erfc_branch_edges_within_declared_bound(self):
+        t = _erfc_edges()
+        got = sim_harness._erfc(t)
+        ref = _math_erfc(t)
+        assert np.max(_ulps(got, ref)) <= sim_harness._ERFC_ULPS
+        # the limits are exact
+        limits = np.isinf(t) | (t == 0.0)
+        assert np.array_equal(got[limits], ref[limits])
+
+    @pytest.mark.skipif(platform.machine() != "x86_64" or platform.libc_ver()[0] != "glibc",
+                        reason="glibc's erfc is compiled without FMA on x86-64 only")
+    def test_equal_to_math_erfc_where_no_exp_is_called(self):
+        t = np.concatenate([_erfc_edges(), np.linspace(-1.3, 1.3, 1_000_001)])
+        t = t[np.abs(t) < 1.25]
+        assert np.array_equal(sim_harness._erfc(t), _math_erfc(t))
+
+    def test_monotone_on_sorted_sweep(self):
+        t = _erfc_edges()
+        t = np.sort(t[~np.isnan(t)])
+        assert np.all(np.diff(sim_harness._erfc(t)) <= 0.0)
+        x = np.sort(np.concatenate([np.linspace(-40.0, 40.0, 1_000_001), -t * math.sqrt(2.0)]))
+        assert np.all(np.diff(normal_cdf(x)) >= 0.0)
+
+
+_math_erfc_obj = np.frompyfunc(math.erfc, 1, 1)
+
+
+def _math_erfc(t):
+    return np.asarray(_math_erfc_obj(t), dtype=float)
+
+
+def _ulps(got, ref):
+    """Units in the last place between two arrays of erfc values, which are
+    >= 0; a NaN must meet a NaN and counts 0."""
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    got, ref = got[~nan], ref[~nan]
+    assert (got >= 0.0).all() and (ref >= 0.0).all()
+    return np.abs(got.view(np.int64) - ref.view(np.int64))
+
+
+def _erfc_edges():
+    """erfc arguments at fdlibm's branch edges, each with its neighbours,
+    the underflow tail and the special values."""
+    edges = np.array([0.25, 0.84375, 1.25, sim_harness._ERFC_SPLIT, 6.0, 28.0, 2.0 ** -57, 0.0])
+    edges = np.concatenate([edges, -edges])
+    t = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                        np.linspace(26.5, 28.0, 100_001),
+                        [np.inf, -np.inf, np.nan]])
+    return t
 
 
 class TestBetaTail:
