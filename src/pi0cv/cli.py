@@ -24,6 +24,7 @@ from .errors import (
     InvalidAlpha,
     InvalidDelta,
     InvalidLambda,
+    InvalidMethod,
     InvalidRange,
     InvalidTheta,
 )
@@ -233,7 +234,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidAlpha, InvalidTheta, InvalidDelta, InvalidLambda, InvalidRange) as exc:
+    except (InvalidAlpha, InvalidTheta, InvalidDelta, InvalidLambda, InvalidMethod,
+            InvalidRange) as exc:
         sys.stderr.write(dumps17({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return EXIT_USAGE
     except InputError as exc:

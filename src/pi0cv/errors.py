@@ -70,5 +70,9 @@ class InvalidDelta(InputError):
     pass
 
 
+class InvalidMethod(InputError):
+    pass
+
+
 class LengthMismatch(Pi0cvError, ValueError):
     pass

@@ -9,9 +9,7 @@ which also receives values equal to 1.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -42,6 +40,11 @@ __all__ = [
     "bin_counts",
     "histogram_heights",
 ]
+
+# Characters of plain text read per block.  Only a block with a skipped line
+# or a fault goes through the line loop; 2^14 to 2^20 read a 1e6-line file
+# alike, and a block's list and array stay small.
+_BLOCK_CHARS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -172,66 +175,22 @@ def read_pvalue_file(path: str | Path, column: str | None = None) -> np.ndarray:
     """Read raw p-values from a UTF-8 file, preserving input order.
 
     Plain-text mode (default): one value per line, blank lines and lines
-    starting with '#' ignored.  CSV mode (``column`` given): values taken
-    from the named column.  Parse errors, bytes that are not UTF-8
-    included, cite the 1-based line number.
+    starting with '#' ignored; lines break at LF, CR and CR LF.  CSV mode
+    (``column`` given): values taken from the named column.  Parse errors,
+    bytes that are not UTF-8 included, cite the 1-based line number.
 
-    Plain text is first parsed in bulk by numpy's C reader.  Its result is
-    kept only when it is one column of at least one value, every value in
-    [0, 1]; anything else (a '#' or whitespace-only line after the first
-    value, two values on a line, an unparsable or out-of-range value, an
-    empty file) is read
-    again by the line-by-line reader, which alone accepts unusual input and
-    words every error, so both paths give the same values and messages.
+    Plain text is read once, about ``_BLOCK_CHARS`` of lines at a time, and
+    each block is parsed by ``float``.  A block whose every line parses to a
+    value in [0, 1] is kept as it is; any other block (a blank or '#' line,
+    a value ``float`` refuses or one out of range) goes through
+    ``_parse_rows``, which skips and words line by line with the same
+    ``float``, so both give the same values.
     """
     path = Path(path)
-    if column is None:
-        values = _bulk_parse(path)
-        if values is not None:
-            return values
     try:
-        return _read_lines(path, column)
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-
-
-def _bulk_parse(path: Path) -> np.ndarray | None:
-    """Plain-text values parsed by ``np.loadtxt``, or None to fall back."""
-    try:
-        # numpy gets an open handle, never the path: given a path it would
-        # also try path.gz and friends and decompress them by extension
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.simplefilter("ignore")   # an empty file warns
-            # read past the leading lines the loop skips; numpy refuses any later one
-            first = next((line for line in fh if not _skipped(line)), "")
-            table = np.loadtxt(itertools.chain([first], fh), dtype=float, comments=None,
-                               delimiter=",", ndmin=2)
-    except (ValueError, OSError):   # what the C reader refuses, the loop decides
-        return None
-    # ndmin=2 keeps a one-line "0.1,0.2" as shape (1, 2), which the loop rejects
-    if table.shape[0] == 0 or table.shape[1] != 1:
-        return None
-    values = table.ravel()
-    # NaN fails both comparisons, and infinities the range
-    if not np.all((values >= 0.0) & (values <= 1.0)):
-        return None
-    return values
-
-
-def _skipped(line: str) -> bool:
-    """A plain-text line that ``_read_lines`` skips: blank, or a '#' comment."""
-    text = line.strip()
-    return not text or text.startswith("#")
-
-
-def _read_lines(path: Path, column: str | None) -> np.ndarray:
-    """The line-by-line reader, the only one that words errors."""
-    out: list[float] = []
-    comments = column is None
-    with open(path, newline="", encoding="utf-8") as fh:
-        if comments:
-            rows = enumerate(fh, start=1)
-        else:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if column is None:
+                return _read_plain(path, fh)
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or column not in header:
@@ -242,19 +201,45 @@ def _read_lines(path: Path, column: str | None) -> np.ndarray:
             # line_num is the physical line a record ends on, which counts
             # the lines of quoted fields that span several and of blank rows
             rows = ((reader.line_num, row[at]) for row in reader if len(row) > at)
-        for lineno, text in rows:
-            text = text.strip()
-            if not text or (comments and text.startswith("#")):
-                continue
-            try:
-                val = float(text)
-            except ValueError:
-                raise InputError(f"{path}:{lineno}: not a number: {text!r}") from None
-            if not math.isfinite(val):
-                raise InputError(f"{path}:{lineno}: non-finite value")
-            if not 0.0 <= val <= 1.0:
-                raise InputError(f"{path}:{lineno}: p-value out of [0, 1]: {val!r}")
-            out.append(val)
+            return _parse_rows(path, rows, comments=False)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _read_plain(path: Path, fh) -> np.ndarray:
+    """Plain-text values, block by block."""
+    blocks = []
+    first = 1   # line number of the block's first line
+    while lines := fh.readlines(_BLOCK_CHARS):
+        try:
+            values = np.fromiter(map(float, lines), float, len(lines))
+        except ValueError:
+            values = None
+        # NaN fails both comparisons, and infinities the range
+        if values is None or not np.all((values >= 0.0) & (values <= 1.0)):
+            values = _parse_rows(path, enumerate(lines, start=first), comments=True)
+        blocks.append(values)
+        first += len(lines)
+    return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _parse_rows(path: Path, rows, comments: bool) -> np.ndarray:
+    """Values of (line number, text) rows, skipping blank ones and, with
+    ``comments``, '#' lines: the only code that words errors."""
+    out: list[float] = []
+    for lineno, text in rows:
+        text = text.strip()
+        if not text or (comments and text.startswith("#")):
+            continue
+        try:
+            val = float(text)
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: not a number: {text!r}") from None
+        if not math.isfinite(val):
+            raise InputError(f"{path}:{lineno}: non-finite value")
+        if not 0.0 <= val <= 1.0:
+            raise InputError(f"{path}:{lineno}: p-value out of [0, 1]: {val!r}")
+        out.append(val)
     return np.asarray(out, dtype=float)
 
 

@@ -67,7 +67,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidLambda, InvalidRange
+from .errors import InvalidLambda, InvalidMethod, InvalidRange
 from .histogram_core import PartitionSpec, PValueSample
 from .lpo_risk import _grid_sums, _mse_polynomial, _risk_from_sums, _score, selection_mse
 
@@ -104,7 +104,7 @@ class EstimatorConfig:
         if self.n_min < 1 or self.n_min > self.n_max:
             raise InvalidRange(f"need 1 <= n_min <= n_max, got ({self.n_min}, {self.n_max})")
         if self.method not in ("lpo", "loo", "ss", "storey"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise InvalidMethod(f"unknown method {self.method!r}")
         if self.se_band < 0:
             raise ValueError("se_band must be >= 0")
 

@@ -341,20 +341,21 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS, alpha: float = 0.1
     Each replicate draws a sample, runs every pi0 method, then the plug-in
     procedure per method plus the theta=1 baseline ('bh') and the oracle run
     with the true pi0 ('oracle').  A replicate whose estimation fails is kept,
-    marked failed, and invalidates the table.  A bad ``alpha`` or ``delta``
-    raises InvalidAlpha or InvalidDelta before any replicate runs.
+    marked failed, and invalidates the table.  A bad ``alpha``, ``delta`` or
+    method name raises InvalidAlpha, InvalidDelta or InvalidMethod before any
+    replicate runs.
     """
     check_alpha(alpha)
     check_delta(delta)
-    methods = list(methods)
+    configs = {method: EstimatorConfig(method=method) for method in methods}
     replicates: list[ReplicateResult] = []
     for rep in range(spec.reps):
         rng = replicate_rng(spec.seed, rep)
         sample, nulls = draw_sample(spec, rng)
         rr = ReplicateResult(rep=rep, seed_used=spec.seed)
         try:
-            for method in methods:
-                est = estimate_pi0(sample, EstimatorConfig(method=method))
+            for method, config in configs.items():
+                est = estimate_pi0(sample, config)
                 rr.pi0_hat[method] = est.pi0
                 res = plugin_mtp(sample, alpha, est, delta)
                 em = error_metrics(res, nulls)
@@ -371,7 +372,7 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS, alpha: float = 0.1
 
     good = [r for r in replicates if not r.failed]
     method_rows = {}
-    for method in methods:
+    for method in configs:
         ests = [r.pi0_hat[method] for r in good]
         n = len(ests)
         mean = math.fsum(ests) / n if n else math.nan
@@ -381,7 +382,7 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS, alpha: float = 0.1
         method_rows[method] = MethodSummary(
             bias_x100=bias * 100.0, std_x100=math.sqrt(var) * 100.0, mse_x100=mse * 100.0)
     proc_rows = {}
-    for proc in [*methods, "bh", "oracle"]:
+    for proc in [*configs, "bh", "oracle"]:
         fdps = [r.fdp[proc] for r in good]
         fnrs = [r.fnr[proc] for r in good]
         n = len(fdps)

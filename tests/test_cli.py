@@ -370,6 +370,20 @@ class TestSimulateCommand:
             assert captured.out == ""
             assert json.loads(captured.err)["error"] == "InvalidAlpha"
 
+    def test_unknown_method_is_usage_error(self, capsys, monkeypatch):
+        import pi0cv.sim_harness as sim
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "draw_sample", no_replicates)
+        code = main(self.ARGS + ["--methods", "lpo,foo"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "InvalidMethod",
+                                            "message": "unknown method 'foo'"}
+
     def test_unknown_kind_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--kind", "quantile", "--m", "60", "--reps", "1"])

@@ -334,13 +334,28 @@ def _outcome(path):
 
 
 def _loop_outcome(path):
-    """``_outcome`` with the bulk parse switched off: the line-by-line reader alone."""
+    """``_outcome`` with every plain-text line sent through the wording loop."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(histogram_core, "_bulk_parse", lambda path: None)
+        mp.setattr(histogram_core, "_read_plain", lambda path, fh: histogram_core._parse_rows(
+            path, enumerate(fh, start=1), comments=True))
         return _outcome(path)
 
 
-# inputs on which numpy's reader and the line-by-line reader could part ways
+def _loop_rows(monkeypatch):
+    """The list that collects every (line number, text) row the wording loop is given."""
+    seen = []
+    parse = histogram_core._parse_rows
+
+    def spy(path, rows, comments):
+        rows = list(rows)
+        seen.extend(rows)
+        return parse(path, rows, comments)
+
+    monkeypatch.setattr(histogram_core, "_parse_rows", spy)
+    return seen
+
+
+# inputs on which the block parse and the line-by-line loop could part ways
 PLAIN_TEXT_CORPUS = {
     "crlf": b"0.1\r\n0.2\r\n",
     "lone_cr": b"0.1\r0.2\r",
@@ -452,14 +467,77 @@ class TestBulkParse:
         f.write_text("0.1,0.2\n")
         assert _outcome(f) == ("InputError", f"{f}:1: not a number: '0.1,0.2'")
 
-    def test_plain_values_take_the_bulk_path(self, tmp_path):
+    def test_plain_values_take_the_bulk_path(self, tmp_path, monkeypatch):
+        # a block of in-range values never reaches the loop, any other block does
+        seen = _loop_rows(monkeypatch)
         f = tmp_path / "p.txt"
-        for name in ("plain", "header_only"):
+        for name in ("plain", "empty"):
             f.write_bytes(PLAIN_TEXT_CORPUS[name])
-            assert histogram_core._bulk_parse(f) is not None, name
-        for name in ("comments", "two_values_comma_one_line", "negative", "empty"):
+            read_pvalue_file(f)
+            assert seen == [], name
+        for name in ("header_only", "comments", "two_values_comma_one_line", "negative"):
             f.write_bytes(PLAIN_TEXT_CORPUS[name])
-            assert histogram_core._bulk_parse(f) is None, name
+            seen.clear()
+            _outcome(f)
+            assert seen[0][0] == 1, name
+        # a block ends once it holds more than three characters: one line each here
+        monkeypatch.setattr(histogram_core, "_BLOCK_CHARS", 3)
+        f.write_bytes(b"0.1\n0.2\n# c\n0.3\n0.4\n")
+        seen.clear()
+        assert read_pvalue_file(f).tolist() == [0.1, 0.2, 0.3, 0.4]
+        assert seen == [(3, "# c\n")]
+
+    @pytest.mark.parametrize("block", [1, 4])
+    @pytest.mark.parametrize("name", sorted(PLAIN_TEXT_CORPUS))
+    def test_same_values_and_errors_across_block_edges(self, tmp_path, monkeypatch, name, block):
+        monkeypatch.setattr(histogram_core, "_BLOCK_CHARS", block)
+        self.test_same_values_and_errors_as_the_loop(tmp_path, name)
+
+    @pytest.mark.parametrize("block", range(1, 17))
+    def test_faults_and_skipped_lines_at_block_edges(self, tmp_path, monkeypatch, block):
+        # every block size from one line to several puts each line at an edge
+        monkeypatch.setattr(histogram_core, "_BLOCK_CHARS", block)
+        f = tmp_path / "p.txt"
+        for at in range(1, 7):
+            lines = ["0.1\n"] * 6
+            lines[at - 1] = "abc\n"
+            f.write_text("".join(lines))
+            assert _outcome(f) == ("InputError", f"{f}:{at}: not a number: 'abc'")
+            for skipped in ("#xy\n", "\n", "  \n"):
+                lines[at - 1] = skipped
+                f.write_text("".join(lines) + "1.5\n")
+                assert _outcome(f) == ("InputError", f"{f}:7: p-value out of [0, 1]: 1.5")
+                f.write_text("".join(lines))
+                assert read_pvalue_file(f).tolist() == [0.1] * 5
+        f.write_bytes(b"0.1\r\n0.2\r\n\r\n0.3\r\nx\r\n")
+        assert _outcome(f) == ("InputError", f"{f}:5: not a number: 'x'")
+        f.write_bytes(b"0.1\r0.2\r\n\r0.3\rx\r")
+        assert _outcome(f) == ("InputError", f"{f}:5: not a number: 'x'")
+
+    def test_crlf_across_read_buffers(self, tmp_path):
+        # a CR LF pair split between the file's 8 KiB reads and at the block
+        # size is one line break, not two
+        f = tmp_path / "p.txt"
+        for edge in (8192, histogram_core._BLOCK_CHARS):
+            head = b"0.5\r\n" * (edge // 5)
+            pad = b"0" * (edge - len(head) - 1)
+            f.write_bytes(head + pad + b"\r\n" + b"0.5\r\nx\r\n")
+            line = edge // 5 + 3
+            assert _outcome(f) == ("InputError", f"{f}:{line}: not a number: 'x'")
+
+    def test_one_block_reaches_the_loop(self, tmp_path, monkeypatch):
+        # a late fault or a mid-file comment costs one block's loop, not a second parse
+        seen = _loop_rows(monkeypatch)
+        f = tmp_path / "p.txt"
+        line = b"0.123456\n"
+        per_block = histogram_core._BLOCK_CHARS // len(line) + 1
+        f.write_bytes(line * 99999 + b"abc\n")
+        assert _outcome(f) == ("InputError", f"{f}:100000: not a number: 'abc'")
+        assert 0 < len(seen) <= per_block and seen[-1] == (100000, "abc\n")
+        seen.clear()
+        f.write_bytes(line * 50000 + b"# mid-file\n" + line * 50000)
+        assert read_pvalue_file(f).tolist() == [0.123456] * 100000
+        assert 0 < len(seen) <= per_block and (50001, "# mid-file\n") in seen
 
     def test_missing_file_is_not_read_from_a_compressed_neighbour(self, tmp_path):
         f = tmp_path / "p.txt"
@@ -473,6 +551,12 @@ class TestBulkParse:
         with gzip.open(f, "wb") as gz:
             gz.write(b"0.1\n0.2\n")
         assert _outcome(f) == _loop_outcome(f) == ("InputError", f"{f}:1: not valid UTF-8")
+
+    @pytest.mark.parametrize("block", [1, 4])
+    def test_generated_text_matches_the_loop_across_block_edges(self, tmp_path, monkeypatch,
+                                                                block):
+        monkeypatch.setattr(histogram_core, "_BLOCK_CHARS", block)
+        self.test_generated_text_matches_the_loop(tmp_path)
 
     def test_generated_text_matches_the_loop(self, tmp_path):
         hypothesis = pytest.importorskip("hypothesis")

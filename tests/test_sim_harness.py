@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pi0cv import sim_harness
-from pi0cv.errors import InputError, InvalidAlpha, InvalidSample
+from pi0cv.errors import InputError, InvalidAlpha, InvalidMethod, InvalidSample
 from pi0cv.sim_harness import (
     KIND_FIELDS,
     ScenarioSpec,
@@ -381,6 +381,19 @@ class TestRunScenario:
         for alpha in (0.0, 1.5, math.nan):
             with pytest.raises(InvalidAlpha):
                 run_scenario(_tiny_spec(), methods=("storey",), alpha=alpha)
+
+    def test_unknown_method_rejected_before_any_replicate(self, monkeypatch):
+        import pi0cv.sim_harness as mod
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(mod, "draw_sample", no_replicates)
+        # bh and oracle name procedures, not methods
+        for methods, bad in ((("lpo", "foo"), "foo"), (("bh",), "bh"), (("oracle", "loo"), "oracle")):
+            with pytest.raises(InvalidMethod) as info:
+                run_scenario(_tiny_spec(), methods=methods)
+            assert str(info.value) == f"unknown method {bad!r}"
 
     def test_failed_replicate_flags_table(self, monkeypatch):
         import pi0cv.sim_harness as mod
