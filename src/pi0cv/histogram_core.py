@@ -9,6 +9,7 @@ which also receives values equal to 1.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -189,21 +190,26 @@ def read_pvalue_file(path: str | Path, column: str | None = None) -> np.ndarray:
     path = Path(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            if column is None:
-                return _read_plain(path, fh)
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or column not in header:
-                raise InputError(f"{path}: no column named {column!r}")
-            # as in csv.DictReader: a repeated name means its last field, and
-            # a row too short to reach it (a blank row too) reads as blank
-            at = len(header) - 1 - header[::-1].index(column)
-            # line_num is the physical line a record ends on, which counts
-            # the lines of quoted fields that span several and of blank rows
-            rows = ((reader.line_num, row[at]) for row in reader if len(row) > at)
-            return _parse_rows(path, rows, comments=False)
+            return _read(path, fh, column)
     except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+        raise _not_utf8(path, column) from None
+
+
+def _read(path: Path, fh, column: str | None) -> np.ndarray:
+    """The values of an open text file, in either mode."""
+    if column is None:
+        return _read_plain(path, fh)
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None or column not in header:
+        raise InputError(f"{path}: no column named {column!r}")
+    # as in csv.DictReader: a repeated name means its last field, and
+    # a row too short to reach it (a blank row too) reads as blank
+    at = len(header) - 1 - header[::-1].index(column)
+    # line_num is the physical line a record ends on, which counts
+    # the lines of quoted fields that span several and of blank rows
+    rows = ((reader.line_num, row[at]) for row in reader if len(row) > at)
+    return _parse_rows(path, rows, comments=False)
 
 
 def _read_plain(path: Path, fh) -> np.ndarray:
@@ -243,14 +249,24 @@ def _parse_rows(path: Path, rows, comments: bool) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def _not_utf8(path: Path) -> InputError:
-    """The error citing the line of the file's first byte that is not UTF-8,
-    counting the line breaks the reader splits on: LF, CR and CR LF."""
+def _not_utf8(path: Path, column: str | None) -> InputError:
+    """The error citing the file's first fault, when a byte is not UTF-8.
+
+    Decoding runs ahead of parsing, so the whole lines before the bad byte's
+    are read again, split as the reader splits them (LF, CR and CR LF), and
+    the error of a fault among them is returned; else the error cites the
+    bad byte's line."""
     data = path.read_bytes()
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[:exc.start]
+        cut = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
+        if cut:   # with no whole line, CSV mode would find no header to cite
+            try:
+                _read(path, io.StringIO(head[:cut].decode("utf-8"), newline=""), column)
+            except InputError as earlier:
+                return earlier
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         return InputError(f"{path}:{line}: not valid UTF-8")
     return InputError(f"{path}: not valid UTF-8")   # rewritten since the failed read

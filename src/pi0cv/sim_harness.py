@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, InvalidMethod
 from .histogram_core import PValueSample
 from .jsonio import dumps17
 from .mtp import bh_procedure, check_alpha, check_delta, error_metrics, plugin_mtp
@@ -166,6 +166,8 @@ _ERFC_SPLIT = float(np.uint64(0x4006DB6D00000000).view(np.float64))
 # was measured on 2e7 tail arguments with numpy 2.4's AVX-512 exp
 _ERFC_ULPS = 8
 _CDF_BLOCK = 1 << 16
+# the bits of 1.0, the largest that a value in [+0, 1] can have
+_ONE_BITS = 0x3FF0000000000000
 
 
 def _ratio(z: np.ndarray, coeffs) -> np.ndarray:
@@ -257,35 +259,28 @@ def normal_cdf(x) -> np.ndarray:
 def _assemble(values: np.ndarray, nulls: np.ndarray) -> tuple[PValueSample, np.ndarray]:
     """The sorted sample and its null labels, as a stable argsort gives them.
 
-    The null and alternative values are sorted apart and merged, each
-    alternative placed after the nulls it does not undercut.  That equals
-    the stable argsort bit for bit unless a run of tied values holds both
-    labels, or both -0.0 and 0.0, since the two orders differ only inside
-    such a run; then the stable argsort itself decides.
+    A float64 in [+0, 1] has its top two bits clear, and the order of such
+    values is the order of their bits read as uint64.  Each value's bits,
+    shifted left by one with the null label in bit 0, make one key; a single
+    in-place sort of the keys orders the values and, among equal values,
+    puts the alternatives first.  That equals the stable argsort bit for bit
+    unless a run of equal values holds both labels: exactly a neighbour pair
+    of keys that differ in bit 0 alone.  Such a tie, or any value outside
+    [+0, 1] (-0.0, NaN, a negative, one above 1), sends the draw to the
+    stable argsort itself.
     """
     m = int(values.size)
-    null_values = values[nulls]
-    null_values.sort()
-    alt_values = values[~nulls]
-    alt_values.sort()
-    pos = np.searchsorted(null_values, alt_values, side="right")
-    pos += np.arange(alt_values.size)
-    labels = np.ones(m, dtype=bool)
-    labels[pos] = False
-    merged = np.empty(m)
-    merged[pos] = alt_values
-    del pos, alt_values
-    merged[labels] = null_values
-    del null_values
-    # 'not >' rather than '==': NaNs, which sort last, then count as ties too
-    tied = ~(merged[1:] > merged[:-1])
-    if tied.any():
-        bits = merged.view(np.uint64)
-        tied &= (labels[1:] != labels[:-1]) | (bits[1:] != bits[:-1])
-        if tied.any():
-            order = np.argsort(values, kind="stable")
-            merged, labels = values[order], nulls[order]
-    return PValueSample(values=merged, m=m), labels
+    bits = values.view(np.uint64)
+    if bits.max(initial=0) <= _ONE_BITS:
+        keys = bits << 1
+        keys |= nulls
+        keys.sort()
+        if not ((keys[1:] ^ keys[:-1]) == 1).any():
+            labels = (keys & 1).astype(bool)
+            keys >>= 1
+            return PValueSample(values=keys.view(np.float64), m=m), labels
+    order = np.argsort(values, kind="stable")
+    return PValueSample(values=values[order], m=m), nulls[order]
 
 
 def sample_beta_tail(pi0: float, s: float, m: int, rng) -> tuple[PValueSample, np.ndarray]:
@@ -342,12 +337,14 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS, alpha: float = 0.1
     procedure per method plus the theta=1 baseline ('bh') and the oracle run
     with the true pi0 ('oracle').  A replicate whose estimation fails is kept,
     marked failed, and invalidates the table.  A bad ``alpha``, ``delta`` or
-    method name raises InvalidAlpha, InvalidDelta or InvalidMethod before any
-    replicate runs.
+    method name, or an empty method list, raises InvalidAlpha, InvalidDelta or
+    InvalidMethod before any replicate runs.
     """
     check_alpha(alpha)
     check_delta(delta)
     configs = {method: EstimatorConfig(method=method) for method in methods}
+    if not configs:
+        raise InvalidMethod("no pi0 method given")
     replicates: list[ReplicateResult] = []
     for rep in range(spec.reps):
         rng = replicate_rng(spec.seed, rep)

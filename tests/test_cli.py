@@ -384,6 +384,21 @@ class TestSimulateCommand:
         assert json.loads(captured.err) == {"error": "InvalidMethod",
                                             "message": "unknown method 'foo'"}
 
+    @pytest.mark.parametrize("methods", [",", "", " , ,"])
+    def test_empty_method_list_is_usage_error(self, capsys, monkeypatch, methods):
+        import pi0cv.sim_harness as sim
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "draw_sample", no_replicates)
+        code = main(self.ARGS + ["--methods", methods])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "InvalidMethod",
+                                            "message": "no pi0 method given"}
+
     def test_unknown_kind_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--kind", "quantile", "--m", "60", "--reps", "1"])

@@ -539,6 +539,40 @@ class TestBulkParse:
         assert read_pvalue_file(f).tolist() == [0.123456] * 100000
         assert 0 < len(seen) <= per_block and (50001, "# mid-file\n") in seen
 
+    @pytest.mark.parametrize("block", [1, 4, 1 << 10, 1 << 16, 1 << 20])
+    @pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"])
+    def test_earlier_fault_is_cited_ahead_of_a_later_bad_byte(self, tmp_path, monkeypatch,
+                                                                block, eol):
+        # decoding runs ahead of parsing, by a block or by the file's 8 KiB reads
+        monkeypatch.setattr(histogram_core, "_BLOCK_CHARS", block)
+        f = tmp_path / "p.txt"
+        lines = [b"0.5", b"abc"] + [b"0.25"] * 3000 + [b"\xe9"]
+        f.write_bytes(eol.join(lines) + eol)
+        assert _outcome(f) == _loop_outcome(f) == ("InputError", f"{f}:2: not a number: 'abc'")
+        lines[1] = b"# c"
+        f.write_bytes(eol.join(lines) + eol)
+        assert _outcome(f) == _loop_outcome(f) == ("InputError", f"{f}:3003: not valid UTF-8")
+        # the bad byte's own line is not parsed: its fault is the byte
+        f.write_bytes(eol.join([b"0.5", b"abc\xe9", b"xyz"]) + eol)
+        assert _outcome(f) == ("InputError", f"{f}:2: not valid UTF-8")
+        f.write_bytes(eol.join([b"0.5", b"1.5", b"\xe9"]))
+        assert _outcome(f) == ("InputError", f"{f}:2: p-value out of [0, 1]: 1.5")
+
+    def test_csv_earlier_fault_is_cited_ahead_of_a_later_bad_byte(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_bytes(b"gene,pval\ng1,0.4\ng2,abc\n" + b"g,0.25\n" * 30 + b"g\xe9,0.5\n")
+        with pytest.raises(InputError) as info:
+            read_pvalue_file(f, column="pval")
+        assert str(info.value) == f"{f}:3: not a number: 'abc'"
+        f.write_bytes(b"gene,p\ng1,0.4\ng\xe9,0.5\n")
+        with pytest.raises(InputError) as info:
+            read_pvalue_file(f, column="pval")
+        assert str(info.value) == f"{f}: no column named 'pval'"
+        f.write_bytes(b"gene,pv\xe9l\ng1,abc\n")
+        with pytest.raises(InputError) as info:
+            read_pvalue_file(f, column="pval")
+        assert str(info.value) == f"{f}:1: not valid UTF-8"
+
     def test_missing_file_is_not_read_from_a_compressed_neighbour(self, tmp_path):
         f = tmp_path / "p.txt"
         with gzip.open(tmp_path / "p.txt.gz", "wb") as gz:

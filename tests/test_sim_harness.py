@@ -211,7 +211,7 @@ class TestNullUniformityAcrossGenerators:
 
 
 def _stable_assemble(values, nulls):
-    """The sort the merge replaces: a stable argsort carrying the labels."""
+    """The sort the key sort replaces: a stable argsort carrying the labels."""
     order = np.argsort(values, kind="stable")
     return values[order], nulls[order]
 
@@ -225,7 +225,7 @@ def _assert_same_as_stable_argsort(values, nulls):
 
 
 class TestAssemble:
-    """``_assemble`` merges the separately sorted null and alternative values;
+    """``_assemble`` sorts one packed (value bits, null label) key per value;
     it must equal the stable argsort bit for bit, ties and signed zeros included."""
 
     @pytest.fixture
@@ -298,6 +298,43 @@ class TestAssemble:
         assert argsort_calls == []
         assert sample.values.tolist() == [0.0, 0.0, 0.2, 0.5, 0.5, 1.0, 1.0]
         assert labels.tolist() == [True, True, False, True, True, False, False]
+
+    @pytest.mark.parametrize("values, nulls", [
+        ([0.0, 0.5, 0.0, 0.0, 1.0], [False, True, False, False, True]),
+        ([1.0, 0.2, 1.0, 1.0, 0.0], [True, False, True, True, False]),
+        ([1.0, 0.0, 1.0, 0.0], [False, True, False, True]),
+        # one ULP apart, the null below: keys 2v + 1 and 2v + 2 differ by 1, not a tie
+        ([np.nextafter(0.5, 1.0), 0.5], [False, True]),
+        ([np.nextafter(0.0, 1.0), 0.0], [False, True]),
+        ([1.0, np.nextafter(1.0, 0.0)], [False, True]),
+        ([0.7, 0.3], [True, False]),
+        ([0.3, 0.3], [True, True]),
+    ])
+    def test_key_edges_take_no_fallback(self, argsort_calls, values, nulls):
+        _assert_same_as_stable_argsort(np.array(values), np.array(nulls))
+        assert argsort_calls == ["stable"]   # the reference alone
+
+    @pytest.mark.parametrize("values, nulls", [
+        ([0.0, 0.3, 0.0], [True, False, False]),
+        ([1.0, 0.3, 1.0], [True, True, False]),
+        ([0.25, 0.75, 0.25, 0.25], [False, True, True, False]),
+        ([-0.0, 0.5], [True, False]),
+        ([0.5, -0.0, 0.0, -0.0], [True, False, False, False]),
+        # numpy's AVX-512 float sort returns this -0.0 as 0.0
+        ([0.9, 0.8, 0.7, 0.6, -0.0, 0.5, 0.0, 0.0, 0.4, 0.3, 0.2, 0.1, 0.0], [False] * 13),
+    ])
+    def test_mixed_ties_and_negative_zero_take_the_stable_argsort(self, argsort_calls, values,
+                                                                  nulls):
+        _assert_same_as_stable_argsort(np.array(values), np.array(nulls))
+        assert argsort_calls == ["stable", "stable"]   # the fallback, then the reference
+
+    @pytest.mark.parametrize("bad", [np.nextafter(1.0, 2.0), -0.25, -np.nextafter(0.0, 1.0),
+                                     math.nan, -math.nan, math.inf, 2.0])
+    def test_values_outside_the_unit_interval_take_the_stable_argsort(self, argsort_calls, bad):
+        values, nulls = np.array([0.5, bad, 0.1]), np.array([True, False, True])
+        with pytest.raises(InvalidSample):
+            sim_harness._assemble(values, nulls)
+        assert argsort_calls == ["stable"]
 
 
 class TestScenarioSpecValidation:
@@ -394,6 +431,18 @@ class TestRunScenario:
             with pytest.raises(InvalidMethod) as info:
                 run_scenario(_tiny_spec(), methods=methods)
             assert str(info.value) == f"unknown method {bad!r}"
+
+    def test_empty_method_list_rejected_before_any_replicate(self, monkeypatch):
+        import pi0cv.sim_harness as mod
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(mod, "draw_sample", no_replicates)
+        for methods in ((), [], iter(())):
+            with pytest.raises(InvalidMethod) as info:
+                run_scenario(_tiny_spec(), methods=methods)
+            assert str(info.value) == "no pi0 method given"
 
     def test_failed_replicate_flags_table(self, monkeypatch):
         import pi0cv.sim_harness as mod
