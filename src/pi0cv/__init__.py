@@ -9,7 +9,6 @@ from .histogram_core import (
     bin_counts,
     enumerate_partitions,
     grid_prefix,
-    histogram_heights,
     load_sample,
     read_pvalue_file,
 )
@@ -17,30 +16,21 @@ from .lpo_risk import (
     MomentSums,
     MseCoefficients,
     PhiCoefficients,
-    RiskEvaluation,
-    bias_hat,
-    bias_variance_oracle,
-    lpo_risk_oracle,
     moment_sums,
     mse_coefficients,
-    mse_hat,
     phi_coefficients,
     select_p,
-    variance_hat,
 )
 from .mtp import (
     ErrorMetrics,
     MtpResult,
     bh_procedure,
-    ecdf,
     error_metrics,
     plugin_mtp,
-    threshold,
 )
 from .pi0_estimator import (
     EstimatorConfig,
     Pi0Estimate,
-    consistency_probe,
     estimate_pi0,
     ss_estimator,
     storey_estimator,

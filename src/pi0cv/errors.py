@@ -46,14 +46,6 @@ class InvalidP(Pi0cvError, ValueError):
     pass
 
 
-class TooLargeForOracle(Pi0cvError, ValueError):
-    pass
-
-
-class PoleAtM(Pi0cvError, ZeroDivisionError):
-    pass
-
-
 class InvalidLambda(InputError):
     pass
 

@@ -39,7 +39,6 @@ __all__ = [
     "partition_count",
     "grid_prefix",
     "bin_counts",
-    "histogram_heights",
 ]
 
 # Characters of plain text read per block.  Only a block with a skipped line
@@ -103,23 +102,10 @@ class PartitionSpec:
     def central_width(self) -> float:
         return (self.l - self.k) / self.n
 
-    @property
-    def central_index(self) -> int:
-        return self.k
-
     def widths(self) -> np.ndarray:
         w = np.full(self.dimension, 1.0 / self.n)
         w[self.k] = self.central_width
         return w
-
-    def edges(self) -> np.ndarray:
-        """Left edges of all cells plus the final right edge 1."""
-        left = np.concatenate([
-            np.arange(self.k) / self.n,
-            [self.lam],
-            np.arange(self.l, self.n + 1) / self.n,
-        ])
-        return left
 
 
 @dataclass(frozen=True)
@@ -318,10 +304,3 @@ def bin_counts(prefix: GridPrefix, spec: PartitionSpec) -> BinCounts:
     ])
     return BinCounts(counts=counts, total=int(cum[-1]))
 
-
-def histogram_heights(counts: BinCounts, spec: PartitionSpec) -> np.ndarray:
-    """Density heights m_j / (m * w_j); the histogram integrates to 1."""
-    if len(counts.counts) != spec.dimension:
-        raise MismatchedResolution(
-            f"{len(counts.counts)} counts for a {spec.dimension}-cell partition")
-    return counts.counts / (counts.total * spec.widths())

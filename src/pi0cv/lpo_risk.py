@@ -9,7 +9,8 @@ the closed form
 
 which averages, over all C(m, p) train/test splits, the squared norm of the
 training histogram minus twice its mean over the held-out points
-(``lpo_risk_oracle`` computes that average literally).
+(``lpo_risk_oracle`` in ``tests/reference.py`` computes that average
+literally).
 
 The holdout size is chosen per partition by minimising the mean squared error
 of R_p as an estimator of the true risk.  Everything reduces to the moment
@@ -19,7 +20,7 @@ sums s_ij = sum_k alpha_k^i / w_k^j:
 * the variance of R_p is a degree-2 polynomial in p over [m(m-1)(m-p)]^2,
   with coefficients derived from the factorial moments of the multinomial
   cell counts (``mse_coefficients``, cross-checked exactly against
-  ``bias_variance_oracle``).
+  ``bias_variance_oracle`` in ``tests/reference.py``).
 
 So MSE(x) = [A x^2 + v1 x + v0] / [m(m-1)(m-x)]^2 with A = bias2 + var2, and
 the numerator of its derivative is lin (x - x*), with lin = 2 A m + v1 and
@@ -49,14 +50,13 @@ p-selection and anything downstream use ``mse_coefficients``.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidP, PoleAtM, TooLargeForOracle
+from .errors import InvalidP
 from .histogram_core import BinCounts, PartitionSpec, PValueSample, grid_prefix
 
 __all__ = [
@@ -64,27 +64,16 @@ __all__ = [
     "PhiCoefficients",
     "MseCoefficients",
     "PSelection",
-    "RiskEvaluation",
     "moment_sums",
     "moment_sums_from",
     "lpo_risk",
-    "lpo_risk_oracle",
     "phi_coefficients",
     "mse_coefficients",
-    "bias_hat",
-    "variance_hat",
-    "bias_variance_oracle",
-    "mse_hat",
     "selection_mse",
     "select_p",
-    "evaluate_partition",
     "partition_diagnostics",
     "grid_diagnostics",
 ]
-
-ORACLE_MAX_M = 12
-ENUM_MAX_M = 10
-ENUM_MAX_BINS = 3
 
 
 @dataclass(frozen=True)
@@ -136,8 +125,9 @@ class MseCoefficients:
 
     MSE(x) = [bias2 * x^2 + var2 * x^2 + var1 * x + var0] / [m(m-1)(m-x)]^2
     with the variance part equal to Var[R_p] for integer p (validated against
-    ``bias_variance_oracle`` by exhaustive enumeration).  The fields are
-    floats for one partition, or arrays with one entry per partition.
+    ``bias_variance_oracle`` in ``tests/reference.py`` by exhaustive
+    enumeration).  The fields are floats for one partition, or arrays with
+    one entry per partition.
     """
 
     m: int
@@ -157,14 +147,6 @@ class PSelection:
     p_hat: int
     p_real: float | None     # critical point x* of the MSE, None when not finite
     p_independent: bool      # risk does not depend on p (s11 == s21)
-
-
-@dataclass(frozen=True)
-class RiskEvaluation:
-    spec: PartitionSpec
-    p_hat: int
-    risk: float
-    p_real: float | None
 
 
 def moment_sums(counts: BinCounts, spec: PartitionSpec) -> MomentSums:
@@ -208,41 +190,6 @@ def _risk_from_sums(s11, s21, m: int, p):
     return ((2 * m - p) * s11 - m * (m - p + 1) * s21) / ((m - 1) * (m - p))
 
 
-def lpo_risk_oracle(sample: PValueSample, spec: PartitionSpec, p: int) -> float:
-    """Definitional LPO risk: average over all C(m, p) train/test splits.
-
-    For each held-out subset of size p the training histogram is rebuilt from
-    the remaining m - p points and scored by ||s_train||^2 minus twice its
-    mean over the held-out points.  Feasible only for small m.
-    """
-    m = sample.m
-    p = _check_p(m, p)
-    if m > ORACLE_MAX_M:
-        raise TooLargeForOracle(f"oracle enumeration capped at m={ORACLE_MAX_M}, got {m}")
-    edges = spec.edges()
-    cell = np.clip(np.searchsorted(edges, sample.values, side="right") - 1,
-                   0, spec.dimension - 1)
-    omega = spec.widths()
-    full = np.bincount(cell, minlength=spec.dimension).astype(float)
-    terms = []
-    for test in itertools.combinations(range(m), p):
-        train = full.copy()
-        for i in test:
-            train[cell[i]] -= 1
-        h = train / ((m - p) * omega)
-        norm2 = math.fsum(h * h * omega)
-        test_mean = math.fsum(h[cell[i]] for i in test) / p
-        terms.append(norm2 - 2.0 * test_mean)
-    return math.fsum(terms) / len(terms)
-
-
-def bias_hat(ms: MomentSums, m: int, p: int) -> float:
-    """Bias of R_p: p/(m(m-p)) * sum_k alpha_k (1 - alpha_k) / w_k, >= 0."""
-    p = _check_p(m, p)
-    total = math.fsum(ms.alpha * (1.0 - ms.alpha) / ms.omega)
-    return p / (m * (m - p)) * total
-
-
 def phi_coefficients(ms: MomentSums, m: int) -> PhiCoefficients:
     """Diagnostic (phi0..phi3) coefficient set; see class docstring."""
     return _phi_polynomial(m, ms.s11, ms.s21, ms.s12, ms.s22, ms.s32)
@@ -282,25 +229,6 @@ def _mse_polynomial(m: int, s11, s21, s12, s22, s32) -> MseCoefficients:
                           + 4 * (m - 2) * (m + 1) ** 2 * s32
                           - 2 * (m - 3) * (m + 1) * s22)
     return MseCoefficients(m=m, bias2=bias2, var2=var2, var1=var1, var0=var0)
-
-
-def variance_hat(phi: PhiCoefficients, m: int, p: int) -> float:
-    """Variance polynomial of the phi encoding: [p^2 phi2 + p phi1 + phi0] / K^2.
-
-    Diagnostic only; may be negative (the exact variance never is).
-    """
-    p = _check_p(m, p)
-    k2 = (m * (m - 1) * (m - p)) ** 2
-    return (phi.phi2 * p * p + phi.phi1 * p + phi.phi0) / k2
-
-
-def mse_hat(coeffs, m: int, x: float) -> float:
-    """MSE(x) = [x^2 (bias2 + v2) + x v1 + v0] / [m(m-1)(m-x)]^2 at real x."""
-    if x == m:
-        raise PoleAtM("MSE(x) has a pole at x = m")
-    bias2, v2, v1, v0 = coeffs.mse_parts()
-    k2 = (m * (m - 1) * (m - x)) ** 2
-    return ((bias2 + v2) * x * x + v1 * x + v0) / k2
 
 
 def selection_mse(coeffs, p) -> float | np.ndarray:
@@ -347,53 +275,6 @@ def select_p(coeffs: MseCoefficients) -> PSelection:
         p_real=xstar if math.isfinite(xstar) else None,
         p_independent=(coeffs.bias2 == 0.0),
     )
-
-
-def bias_variance_oracle(alpha, spec: PartitionSpec, m: int, p: int) -> tuple[float, float]:
-    """Exact bias and variance of R_p by multinomial enumeration.
-
-    Enumerates every count vector (m_1..m_D) with probabilities alpha, scores
-    R_p on each, and returns (mean - truth, variance).  The truth is the risk
-    of the histogram against the piecewise-constant density with cell masses
-    alpha:  sum_k alpha_k(1-alpha_k)/(m w_k) - sum_k alpha_k^2 / w_k.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    omega = spec.widths()
-    d = len(alpha)
-    if d != spec.dimension:
-        raise ValueError("alpha length must match the partition dimension")
-    if m > ENUM_MAX_M or d > ENUM_MAX_BINS:
-        raise TooLargeForOracle(
-            f"enumeration capped at m={ENUM_MAX_M}, D={ENUM_MAX_BINS}; got m={m}, D={d}")
-    p = _check_p(m, p)
-    truth = math.fsum(alpha * (1.0 - alpha) / (m * omega)) - math.fsum(alpha**2 / omega)
-    probs, risks = [], []
-    for counts in _compositions(m, d):
-        coef = math.factorial(m)
-        pr = 1.0
-        for c, a in zip(counts, alpha):
-            coef //= math.factorial(c)
-            pr *= a ** c
-        pr *= coef
-        if pr == 0.0:
-            continue
-        s11 = math.fsum((c / m) / w for c, w in zip(counts, omega))
-        s21 = math.fsum((c / m) ** 2 / w for c, w in zip(counts, omega))
-        probs.append(pr)
-        risks.append(_risk_from_sums(s11, s21, m, p))
-    mean = math.fsum(pr * r for pr, r in zip(probs, risks))
-    var = math.fsum(pr * (r - mean) ** 2 for pr, r in zip(probs, risks))
-    return mean - truth, var
-
-
-def _compositions(total: int, parts: int):
-    """All nonnegative integer vectors of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
 
 
 def _grid_sums(cum, m: int):
@@ -483,8 +364,3 @@ def partition_diagnostics(sample: PValueSample, spec: PartitionSpec) -> dict:
     sums = _grid_sums(grid_prefix(sample, spec.n).cum, sample.m)
     return _records(sample.m, sums, spec.n, np.array([spec.k]), np.array([spec.l]))[0]
 
-
-def evaluate_partition(sample: PValueSample, spec: PartitionSpec) -> RiskEvaluation:
-    """Score one partition as the search does: holdout choice, risk at p_hat."""
-    rec = partition_diagnostics(sample, spec)
-    return RiskEvaluation(spec=spec, p_hat=rec["p_hat"], risk=rec["risk"], p_real=rec["p_real"])

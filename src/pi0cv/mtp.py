@@ -24,8 +24,6 @@ from .histogram_core import PValueSample
 __all__ = [
     "MtpResult",
     "ErrorMetrics",
-    "ecdf",
-    "threshold",
     "plugin_mtp",
     "check_alpha",
     "check_delta",
@@ -58,13 +56,6 @@ class ErrorMetrics:
     fnr: float
     fp: int
     r: int
-
-
-def ecdf(sample: PValueSample, t: float) -> float:
-    """Empirical CDF #{P_i <= t} / m, right-continuous, via binary search."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    return int(np.searchsorted(sample.values, t, side="right")) / sample.m
 
 
 def check_alpha(alpha: float) -> None:
@@ -101,11 +92,6 @@ def _step_up(sample: PValueSample, alpha: float, theta: float, delta: float) -> 
     t = min(t, 1.0)
     return MtpResult(threshold=float(t), rejected=np.arange(k_hat), k_hat=k_hat,
                      alpha=alpha, theta=theta, delta=delta, m=m)
-
-
-def threshold(sample: PValueSample, alpha: float, theta: float) -> float:
-    """Numeric rejection threshold for the given alpha and theta."""
-    return _step_up(sample, alpha, theta, 0.0).threshold
 
 
 def plugin_mtp(sample: PValueSample, alpha: float, pi0, delta: float = 0.0) -> MtpResult:

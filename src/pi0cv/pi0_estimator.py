@@ -61,9 +61,8 @@ it against the computed R_1 - R_p of whole families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache, partial
-from typing import Sequence
 
 import numpy as np
 
@@ -77,7 +76,6 @@ __all__ = [
     "estimate_pi0",
     "ss_estimator",
     "storey_estimator",
-    "consistency_probe",
     "estimate_json_dict",
 ]
 
@@ -105,7 +103,7 @@ class EstimatorConfig:
             raise InvalidRange(f"need 1 <= n_min <= n_max, got ({self.n_min}, {self.n_max})")
         if self.method not in ("lpo", "loo", "ss", "storey"):
             raise InvalidMethod(f"unknown method {self.method!r}")
-        if self.se_band < 0:
+        if not self.se_band >= 0:      # in this form a NaN fails too
             raise ValueError("se_band must be >= 0")
 
 
@@ -269,26 +267,6 @@ def ss_estimator(sample: PValueSample, lam: float, method: str = "ss") -> Pi0Est
 def storey_estimator(sample: PValueSample) -> Pi0Estimate:
     """The ss estimator at the conventional cutoff lambda = 0.5."""
     return ss_estimator(sample, 0.5, method="storey")
-
-
-def consistency_probe(pi0: float, model, sizes: Sequence[int], seed: int,
-                      cfg: EstimatorConfig = EstimatorConfig()) -> list[float]:
-    """|pi0_hat(m) - pi0| for one replicate per sample size.
-
-    ``model`` is a ScenarioSpec whose pi0 and m fields are overridden.
-    """
-    from .sim_harness import draw_sample, replicate_rng
-
-    sizes = list(sizes)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be strictly increasing")
-    errors = []
-    for i, m in enumerate(sizes):
-        spec = replace(model, pi0=pi0, m=int(m))
-        sample, _ = draw_sample(spec, replicate_rng(seed, i))
-        est = estimate_pi0(sample, cfg)
-        errors.append(abs(est.pi0 - pi0))
-    return errors
 
 
 def estimate_json_dict(est: Pi0Estimate) -> dict:

@@ -6,7 +6,6 @@ replication counts, so outcomes are deterministic for a given build.
 Expected total runtime: a few minutes.
 """
 
-import itertools
 import time
 from pathlib import Path
 
@@ -22,10 +21,7 @@ from pi0cv.histogram_core import (
     load_sample,
 )
 from pi0cv.lpo_risk import (
-    bias_hat,
-    bias_variance_oracle,
     lpo_risk,
-    lpo_risk_oracle,
     moment_sums,
     moment_sums_from,
     mse_coefficients,
@@ -33,8 +29,17 @@ from pi0cv.lpo_risk import (
     selection_mse,
 )
 from pi0cv.mtp import bh_procedure, plugin_mtp
-from pi0cv.pi0_estimator import EstimatorConfig, consistency_probe, estimate_pi0
+from pi0cv.pi0_estimator import EstimatorConfig, estimate_pi0
 from pi0cv.sim_harness import ScenarioSpec, parse_scenario_file, run_scenario
+
+from reference import (
+    bias_hat,
+    bias_variance_oracle,
+    compositions,
+    consistency_probe,
+    lpo_risk_oracle,
+    sample_with_counts,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -125,26 +130,6 @@ def _d3_partitions():
     return [spec for spec in enumerate_partitions(1, 4) if spec.dimension <= 3]
 
 
-def _sample_for_counts(counts, spec):
-    edges = spec.edges()
-    vals = []
-    for j, c in enumerate(counts):
-        left, right = edges[j], edges[j + 1]
-        vals.extend(left + (i + 1) / (c + 1) * (right - left) for i in range(c))
-    return load_sample(vals)
-
-
-def _compositions(total, parts):
-    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
-        out = []
-        prev = -1
-        for c in cuts:
-            out.append(c - prev - 1)
-            prev = c
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
-
-
 ALPHA_SETS = {
     1: [(1.0,)],
     2: [(0.5, 0.5), (0.75, 0.25)],
@@ -158,8 +143,8 @@ def test_ac6_exact_oracle_suite():
     for m in range(2, 9):
         for spec in _d3_partitions():
             d = spec.dimension
-            for counts in _compositions(m, d):
-                sample = _sample_for_counts(counts, spec)
+            for counts in compositions(m, d):
+                sample = sample_with_counts(counts, spec)
                 cnt = bin_counts(grid_prefix(sample, spec.n), spec)
                 assert tuple(cnt.counts) == counts
                 for p in range(1, m):

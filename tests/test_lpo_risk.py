@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pi0cv.errors import InvalidP, PoleAtM, TooLargeForOracle
+from pi0cv.errors import InvalidP
 from pi0cv.histogram_core import (
     BinCounts,
     PartitionSpec,
@@ -19,37 +19,32 @@ from pi0cv.lpo_risk import (
     MseCoefficients,
     _mse_polynomial,
     _risk_from_sums,
-    bias_hat,
-    bias_variance_oracle,
-    evaluate_partition,
     grid_diagnostics,
     lpo_risk,
-    lpo_risk_oracle,
     moment_sums,
     moment_sums_from,
     mse_coefficients,
-    mse_hat,
     partition_diagnostics,
     phi_coefficients,
     select_p,
     selection_mse,
+)
+
+from reference import (
+    PoleAtM,
+    TooLargeForOracle,
+    bias_hat,
+    bias_variance_oracle,
+    full_family,
+    lpo_risk_oracle,
+    mse_hat,
+    sample_with_counts,
     variance_hat,
 )
 
 
 def _counts(counts, total):
     return BinCounts(counts=np.asarray(counts), total=total)
-
-
-def _sample_with_counts(counts, spec):
-    """Synthetic sorted sample placing `counts[j]` interior points in cell j."""
-    edges = spec.edges()
-    vals = []
-    for j, c in enumerate(counts):
-        left, right = edges[j], edges[j + 1]
-        for i in range(c):
-            vals.append(left + (i + 1) / (c + 1) * (right - left))
-    return load_sample(vals)
 
 
 def test_import_yields_the_module():
@@ -116,7 +111,7 @@ class TestLpoRisk:
 class TestLpoRiskOracle:
     def test_hand_fixture(self):
         spec = PartitionSpec(2, 0, 1)
-        sample = _sample_with_counts([3, 1], spec)
+        sample = sample_with_counts([3, 1], spec)
         assert lpo_risk_oracle(sample, spec, 1) == pytest.approx(-2 / 3, abs=1e-10)
 
     def test_degenerate_histogram_constant(self):
@@ -382,7 +377,7 @@ def _exact(sample, spec):
     selection MSE over 1..m-1 with the risk there."""
     m = sample.m
     widths = [Fraction(1, spec.n)] * spec.dimension
-    widths[spec.central_index] = Fraction(spec.l - spec.k, spec.n)
+    widths[spec.k] = Fraction(spec.l - spec.k, spec.n)
     counts = bin_counts(grid_prefix(sample, spec.n), spec).counts
     cells = [(Fraction(int(c), m), w) for c, w in zip(counts, widths) if c]
     s = {(i, j): sum(a ** i / w ** j for a, w in cells) for i in (1, 2, 3) for j in (1, 2)}
@@ -523,16 +518,16 @@ class TestAsymptoticBehaviour:
         assert max(map(abs, scaled)) < 10 * max(abs(scaled[-1]), 1e-12)
 
 
-class TestEvaluatePartition:
+class TestPartitionDiagnostics:
     def test_adaptive_p_consistent_with_select_p(self):
         rng = np.random.default_rng(21)
         sample = load_sample(rng.random(40))
         spec = PartitionSpec(5, 1, 4)
-        ev = evaluate_partition(sample, spec)
+        rec = partition_diagnostics(sample, spec)
         counts = bin_counts(grid_prefix(sample, 5), spec)
         sel = select_p(mse_coefficients(moment_sums(counts, spec), 40))
-        assert ev.p_hat == sel.p_hat
-        assert ev.risk == pytest.approx(lpo_risk(counts, spec, sel.p_hat), abs=1e-14)
+        assert rec["p_hat"] == sel.p_hat
+        assert rec["risk"] == pytest.approx(lpo_risk(counts, spec, sel.p_hat), abs=1e-14)
 
     def test_diagnostics_record(self):
         rng = np.random.default_rng(22)
@@ -544,7 +539,6 @@ class TestEvaluatePartition:
         assert rec["N"] == 3 and rec["k"] == 1 and rec["l"] == 3
 
     def test_grid_records_carry_the_search_values_bit_for_bit(self):
-        from family_oracle import full_family
         from pi0cv.pi0_estimator import _scan, _tables
 
         rng = np.random.default_rng(23)

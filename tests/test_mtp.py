@@ -5,37 +5,21 @@ from pi0cv.errors import InvalidAlpha, InvalidDelta, InvalidTheta, LengthMismatc
 from pi0cv.histogram_core import load_sample
 from pi0cv.mtp import (
     MtpResult,
+    _step_up,
     bh_procedure,
-    ecdf,
     error_metrics,
     plugin_mtp,
     rejected_mask,
-    threshold,
 )
 
 FIXTURE = [0.01, 0.02, 0.5, 0.6, 0.9]
 
 
-class TestEcdf:
-    def test_at_one(self):
-        s = load_sample(FIXTURE)
-        assert ecdf(s, 1.0) == 1.0
-
-    def test_inclusive_at_point(self):
-        s = load_sample([0.1, 0.5, 0.9])
-        assert ecdf(s, 0.5) == pytest.approx(2 / 3)
-
-    def test_at_zero_without_zeros(self):
-        s = load_sample([0.1, 0.5, 0.9])
-        assert ecdf(s, 0.0) == 0.0
-
-
 class TestThreshold:
     def test_fixture_theta_one(self):
         s = load_sample(FIXTURE)
-        t = threshold(s, 0.15, 1.0)
-        assert t == pytest.approx(0.06)
         res = bh_procedure(s, 0.15)
+        assert res.threshold == pytest.approx(0.06)
         assert res.k_hat == 2
         assert np.array_equal(np.sort(s.values[res.rejected]), [0.01, 0.02])
 
@@ -85,13 +69,14 @@ class TestThreshold:
     def test_invalid_alpha_and_theta(self):
         s = load_sample(FIXTURE)
         with pytest.raises(InvalidAlpha):
-            threshold(s, 0.0, 1.0)
+            plugin_mtp(s, 0.0, 1.0)
         with pytest.raises(InvalidAlpha):
-            threshold(s, 1.0, 0.5)
+            plugin_mtp(s, 1.0, 0.5)
         with pytest.raises(InvalidTheta):
-            threshold(s, 0.1, 0.0)
+            plugin_mtp(s, 0.1, 0.0)
+        # plugin_mtp caps theta at 1, so only the step-up itself sees 1.5
         with pytest.raises(InvalidTheta):
-            threshold(s, 0.1, 1.5)
+            _step_up(s, 0.1, 1.5, 0.0)
 
 
 class TestPluginMtp:

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from pi0cv.errors import InvalidLambda, InvalidRange
-from pi0cv.histogram_core import PartitionSpec, bin_counts, grid_prefix, histogram_heights, load_sample
+from pi0cv.histogram_core import PartitionSpec, bin_counts, grid_prefix, load_sample
 from pi0cv.lpo_risk import lpo_risk, moment_sums, mse_coefficients, select_p
 from pi0cv.pi0_estimator import (
     EstimatorConfig,
-    consistency_probe,
     estimate_json_dict,
     estimate_pi0,
     ss_estimator,
@@ -14,7 +13,7 @@ from pi0cv.pi0_estimator import (
 )
 from pi0cv.sim_harness import ScenarioSpec, replicate_rng, sample_trunc_beta
 
-from family_oracle import full_family
+from reference import consistency_probe, full_family, histogram_heights
 
 
 def _fsum_risk(sample, spec, p=None):
@@ -156,7 +155,7 @@ class TestEstimateProperties:
             spec = PartitionSpec(est.n_hat, round(est.lambda_hat * est.n_hat),
                                  round(est.mu_hat * est.n_hat))
             heights = histogram_heights(bin_counts(grid_prefix(sample, spec.n), spec), spec)
-            assert est.pi0_raw == heights[spec.central_index]
+            assert est.pi0_raw == heights[spec.k]
 
     def test_fixed_partition_monotonicity_in_central_mass(self):
         # adding points inside the selected central interval cannot lower the
@@ -170,7 +169,7 @@ class TestEstimateProperties:
         grown = load_sample(np.concatenate([sample.values, inside]))
         before = histogram_heights(bin_counts(grid_prefix(sample, spec.n), spec), spec)
         after = histogram_heights(bin_counts(grid_prefix(grown, spec.n), spec), spec)
-        assert after[spec.central_index] >= before[spec.central_index]
+        assert after[spec.k] >= before[spec.k]
 
     def test_pure_argmin_mode_available(self):
         rng = np.random.default_rng(47)
@@ -209,7 +208,7 @@ class TestEstimateProperties:
             assert scan_mse <= scalar_mse * (1 + 1e-9) + 1e-18
             assert risk[idx] == pytest.approx(
                 lpo_risk(counts, spec, int(phat[idx])), rel=1e-12, abs=1e-12)
-            assert cc[idx] == counts.counts[spec.central_index]
+            assert cc[idx] == counts.counts[spec.k]
 
     def test_smallest_samples_and_constant_values(self):
         est = estimate_pi0(load_sample([0.25, 0.75]), EstimatorConfig(n_max=5))
@@ -678,6 +677,12 @@ class TestConfigAndJson:
     def test_bad_method(self):
         with pytest.raises(ValueError):
             EstimatorConfig(method="spline")
+
+    @pytest.mark.parametrize("se_band", [-0.25, float("nan")])
+    def test_bad_se_band(self, se_band):
+        # a NaN band would silently run the pure argmin
+        with pytest.raises(ValueError, match="se_band must be >= 0"):
+            EstimatorConfig(se_band=se_band)
 
     def test_json_dict_fields(self):
         sample = load_sample([0.1, 0.2, 0.6, 0.8, 0.9])
