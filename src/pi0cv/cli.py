@@ -14,6 +14,7 @@ degeneracy in the estimator.
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import sys
 from pathlib import Path
@@ -131,14 +132,8 @@ def cmd_simulate(args) -> int:
                                       base.with_name(base.name + "_procedures.csv"))
         sim_harness.write_replicates_json(table, base.with_name(base.name + "_replicates.json"))
     else:
-        out = ["method,bias_x100,std_x100,mse_x100"]
-        for name, row in table.methods.items():
-            out.append(f"{name},{row.bias_x100:.17g},{row.std_x100:.17g},{row.mse_x100:.17g}")
-        out.append("")
-        out.append("procedure,fdr_x100,fnr_x100")
-        for name, row in table.procedures.items():
-            out.append(f"{name},{row.fdr_x100:.17g},{row.fnr_x100:.17g}")
-        sys.stdout.write("\n".join(out) + "\n")
+        methods, procedures = sim_harness.summary_rows(table)
+        csv.writer(sys.stdout, lineterminator="\n").writerows([*methods, [], *procedures])
     if not table.valid:
         sys.stderr.write("warning: table contains failed replicates\n")
         return EXIT_DEGENERATE
@@ -200,16 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="replicated scenario study")
     p.add_argument("--scenario", default=None, help="flat key=value scenario file")
     p.add_argument("--kind", choices=sim_harness.KINDS, default=None)
-    p.add_argument("--pi0", type=float, default=0.9)
+    defaults = sim_harness.SCENARIO_DEFAULTS
+    p.add_argument("--pi0", type=float, default=defaults["pi0"])
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--lambda-star", dest="lambda_star", type=float, default=None)
     p.add_argument("--a", type=float, default=None)
     p.add_argument("--b", type=float, default=None)
     p.add_argument("--sd", type=float, default=None)
-    p.add_argument("--m", type=int, default=1000)
-    p.add_argument("--reps", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--alpha", type=float, default=0.15,
+    p.add_argument("--m", type=int, default=defaults["m"])
+    p.add_argument("--reps", type=int, default=defaults["reps"])
+    p.add_argument("--seed", type=int, default=defaults["seed"])
+    p.add_argument("--alpha", type=float, default=defaults["alpha"],
                    help="target FDR level for inline runs (a --scenario file carries its own)")
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--methods", default=",".join(sim_harness.DEFAULT_METHODS))

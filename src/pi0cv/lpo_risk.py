@@ -114,10 +114,6 @@ class PhiCoefficients:
     phi2: float
     phi3: float
 
-    def mse_parts(self) -> tuple[float, float, float, float]:
-        """(bias2, v2, v1, v0) so that MSE(x) ~ bias2 x^2 + (v2 x^2 + v1 x + v0)."""
-        return self.phi3, self.phi2, self.phi1, self.phi0
-
 
 @dataclass(frozen=True)
 class MseCoefficients:

@@ -6,10 +6,12 @@ its step-up equivalence: with sorted p-values p_(1) <= ... <= p_(m),
     k_hat = max{ i : p_(i) <= i * alpha / (m * theta) }    (0 if none)
 
 and all hypotheses with p-value <= p_(k_hat), the first k_hat sorted values,
-are rejected.  The rejection set is the contract; the reported numeric
-threshold is alpha * k_hat / (m * theta) clamped from both sides into the
-half-open plateau [p_(k_hat), p_(k_hat+1)) and capped at 1, so that
-{P_i <= threshold} recovers exactly the rejected set by value.
+are rejected.  That prefix is the contract; ``MtpResult`` holds it as k_hat.
+It never ends inside a run of equal values: the rounded cuts i * c, with
+c = alpha / (m * theta), never fall as i grows, so p_(k+1) = p_(k) <= k c
+makes k + 1 a hit too.  The reported threshold, alpha * k_hat / (m * theta)
+clamped into the half-open plateau [p_(k_hat), p_(k_hat+1)) and capped at 1,
+recovers exactly the rejected set by value as {P_i <= threshold}.
 """
 
 from __future__ import annotations
@@ -35,19 +37,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MtpResult:
-    """Rejection decision; ``rejected`` indexes the sample's sorted values."""
+    """Rejection decision: the ``k_hat`` smallest of the sample's sorted values."""
 
     threshold: float
-    rejected: np.ndarray
     k_hat: int
     alpha: float
     theta: float
     delta: float
     m: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "rejected", np.asarray(self.rejected, dtype=np.int64))
-        self.rejected.flags.writeable = False
+    @property
+    def rejected(self) -> np.ndarray:
+        """The rejected positions in the sorted sample, 0 to k_hat - 1."""
+        return np.arange(self.k_hat)
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,14 @@ def _step_up(sample: PValueSample, alpha: float, theta: float, delta: float) -> 
     n = int(np.searchsorted(p, m * c, side="right"))
     hits = np.flatnonzero(p[:n] <= np.arange(1, n + 1) * c)
     if hits.size == 0:
-        return MtpResult(threshold=0.0, rejected=np.empty(0, dtype=np.int64), k_hat=0,
-                         alpha=alpha, theta=theta, delta=delta, m=m)
+        return MtpResult(threshold=0.0, k_hat=0, alpha=alpha, theta=theta, delta=delta, m=m)
     k_hat = int(hits[-1]) + 1
     # alpha k_hat / (m theta) can round below the cut k_hat (alpha / (m theta))
     t = max(alpha * k_hat / (m * theta), float(p[k_hat - 1]))
     if k_hat < m:
         t = min(t, float(np.nextafter(p[k_hat], -np.inf)))
     t = min(t, 1.0)
-    return MtpResult(threshold=float(t), rejected=np.arange(k_hat), k_hat=k_hat,
-                     alpha=alpha, theta=theta, delta=delta, m=m)
+    return MtpResult(threshold=float(t), k_hat=k_hat, alpha=alpha, theta=theta, delta=delta, m=m)
 
 
 def plugin_mtp(sample: PValueSample, alpha: float, pi0, delta: float = 0.0) -> MtpResult:
@@ -115,22 +115,14 @@ def error_metrics(result: MtpResult, labels) -> ErrorMetrics:
     """False discovery proportion and miss rate against known labels.
 
     ``labels``: boolean, True marks a true null hypothesis, aligned with the
-    sorted sample the result was computed from.
+    sorted sample the result was computed from, whose first ``k_hat`` values
+    are the rejected ones.
     """
     labels = np.asarray(labels, dtype=bool)
     if labels.size != result.m:
         raise LengthMismatch(f"{labels.size} labels for m={result.m}")
-    # the mask need reach no further than the largest index, when all are in range
-    idx = result.rejected
-    span = result.m
-    if idx.size == 0:
-        span = 0
-    elif 0 <= idx.min() and idx.max() < span:
-        span = int(idx.max()) + 1
-    rej = np.zeros(span, dtype=bool)
-    rej[idx] = True
-    r = int(np.count_nonzero(rej))
-    fp = int(np.count_nonzero(rej & labels[:span]))
+    r = result.k_hat
+    fp = int(np.count_nonzero(labels[:r]))
     n_alt = result.m - int(np.count_nonzero(labels))
     missed = n_alt - (r - fp)
     return ErrorMetrics(fdp=fp / max(r, 1), fnr=missed / max(n_alt, 1), fp=fp, r=r)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, InvalidMethod
+from .errors import InputError, InvalidMethod, InvalidSample
 from .histogram_core import PValueSample
 from .jsonio import dumps17
 from .mtp import bh_procedure, check_alpha, check_delta, error_metrics, plugin_mtp
@@ -46,6 +46,8 @@ KIND_FIELDS = {"beta_tail": ("s",), "trunc_beta": ("s", "lambda_star"),
 KINDS = tuple(KIND_FIELDS)
 USHAPE_NULL_SD = math.sqrt(2.5e-2)
 DEFAULT_METHODS = ("lpo", "loo", "storey")
+# what a scenario file and simulate's flags take when they omit a field
+SCENARIO_DEFAULTS = {"pi0": 0.9, "m": 1000, "reps": 1, "seed": 0, "alpha": 0.15}
 
 
 @dataclass(frozen=True)
@@ -257,30 +259,26 @@ def normal_cdf(x) -> np.ndarray:
 
 
 def _assemble(values: np.ndarray, nulls: np.ndarray) -> tuple[PValueSample, np.ndarray]:
-    """The sorted sample and its null labels, as a stable argsort gives them.
+    """The sorted sample and its null labels, by one in-place sort of packed keys.
 
     A float64 in [+0, 1] has its top two bits clear, and the order of such
     values is the order of their bits read as uint64.  Each value's bits,
-    shifted left by one with the null label in bit 0, make one key; a single
-    in-place sort of the keys orders the values and, among equal values,
-    puts the alternatives first.  That equals the stable argsort bit for bit
-    unless a run of equal values holds both labels: exactly a neighbour pair
-    of keys that differ in bit 0 alone.  Such a tie, or any value outside
-    [+0, 1] (-0.0, NaN, a negative, one above 1), sends the draw to the
-    stable argsort itself.
+    shifted left by one with the null label in bit 0, make one key; sorting
+    the keys orders the values and, within a run of equal values, puts the
+    alternatives first.  No output reads that order: the step-up never splits
+    a run of equal values (see ``mtp``), so ``error_metrics`` counts each run
+    whole.  The shift would drop the sign bit, so a value whose bits exceed
+    those of 1.0 (-0.0, NaN, a negative, one above 1) raises InvalidSample.
     """
-    m = int(values.size)
     bits = values.view(np.uint64)
-    if bits.max(initial=0) <= _ONE_BITS:
-        keys = bits << 1
-        keys |= nulls
-        keys.sort()
-        if not ((keys[1:] ^ keys[:-1]) == 1).any():
-            labels = (keys & 1).astype(bool)
-            keys >>= 1
-            return PValueSample(values=keys.view(np.float64), m=m), labels
-    order = np.argsort(values, kind="stable")
-    return PValueSample(values=values[order], m=m), nulls[order]
+    if bits.max(initial=0) > _ONE_BITS:
+        raise InvalidSample("values must lie in [+0, 1]")
+    keys = bits << 1
+    keys |= nulls
+    keys.sort()
+    labels = (keys & 1).astype(bool)
+    keys >>= 1
+    return PValueSample(values=keys.view(np.float64), m=int(values.size)), labels
 
 
 def sample_beta_tail(pi0: float, s: float, m: int, rng) -> tuple[PValueSample, np.ndarray]:
@@ -329,8 +327,8 @@ def draw_sample(spec: ScenarioSpec, rng) -> tuple[PValueSample, np.ndarray]:
     return sample_ushape(spec.pi0, spec.a, spec.b, spec.sd, spec.m, rng)
 
 
-def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS, alpha: float = 0.15,
-                 delta: float = 0.0) -> SummaryTable:
+def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS,
+                 alpha: float = SCENARIO_DEFAULTS["alpha"], delta: float = 0.0) -> SummaryTable:
     """Replicated estimation and testing study.
 
     Each replicate draws a sample, runs every pi0 method, then the plug-in
@@ -419,9 +417,9 @@ def parse_scenario_file(path: str | Path) -> tuple[ScenarioSpec, float]:
     if "kind" not in fields:
         raise InputError(f"{path}: missing 'kind'; valid kinds: {', '.join(KINDS)}")
 
-    def _get(key, parse, default=None):
+    def _get(key, parse):
         if key not in fields:
-            return default
+            return SCENARIO_DEFAULTS.get(key)
         value, lineno = fields[key]
         try:
             return parse(value)
@@ -431,35 +429,39 @@ def parse_scenario_file(path: str | Path) -> tuple[ScenarioSpec, float]:
 
     spec = ScenarioSpec(
         kind=fields["kind"][0],
-        pi0=_get("pi0", float, 1.0),
-        m=_get("m", int, 1000),
-        reps=_get("reps", int, 1),
-        seed=_get("seed", int, 0),
+        pi0=_get("pi0", float),
+        m=_get("m", int),
+        reps=_get("reps", int),
+        seed=_get("seed", int),
         s=_get("s", float),
         lambda_star=_get("lambda_star", float),
         a=_get("a", float),
         b=_get("b", float),
         sd=_get("sd", float),
     )
-    return spec, _get("alpha", float, 0.15)
+    return spec, _get("alpha", float)
 
 
 def _g(x: float) -> str:
     return format(x, ".17g")
 
 
+def summary_rows(table: SummaryTable) -> tuple[list, list]:
+    """The method and procedure tables as rows of strings, each under its header."""
+    methods = [["method", "bias_x100", "std_x100", "mse_x100"]]
+    methods += [[name, _g(row.bias_x100), _g(row.std_x100), _g(row.mse_x100)]
+                for name, row in table.methods.items()]
+    procedures = [["procedure", "fdr_x100", "fnr_x100"]]
+    procedures += [[name, _g(row.fdr_x100), _g(row.fnr_x100)]
+                   for name, row in table.procedures.items()]
+    return methods, procedures
+
+
 def write_summary_csv(table: SummaryTable, methods_path: str | Path,
                       procedures_path: str | Path) -> None:
-    with open(methods_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "bias_x100", "std_x100", "mse_x100"])
-        for name, row in table.methods.items():
-            w.writerow([name, _g(row.bias_x100), _g(row.std_x100), _g(row.mse_x100)])
-    with open(procedures_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["procedure", "fdr_x100", "fnr_x100"])
-        for name, row in table.procedures.items():
-            w.writerow([name, _g(row.fdr_x100), _g(row.fnr_x100)])
+    for rows, path in zip(summary_rows(table), (methods_path, procedures_path)):
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
 
 
 def summary_json_dict(table: SummaryTable) -> dict:

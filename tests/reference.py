@@ -23,7 +23,14 @@ import numpy as np
 
 from pi0cv.errors import MismatchedResolution
 from pi0cv.histogram_core import load_sample
-from pi0cv.lpo_risk import _check_p, _holdout, _mse_polynomial, _risk_from_sums, selection_mse
+from pi0cv.lpo_risk import (
+    PhiCoefficients,
+    _check_p,
+    _holdout,
+    _mse_polynomial,
+    _risk_from_sums,
+    selection_mse,
+)
 from pi0cv.pi0_estimator import EstimatorConfig, estimate_pi0
 from pi0cv.sim_harness import draw_sample, replicate_rng
 
@@ -158,10 +165,16 @@ def variance_hat(phi, m, p):
 
 
 def mse_hat(coeffs, m, x):
-    """MSE(x) = [x^2 (bias2 + v2) + x v1 + v0] / [m(m-1)(m-x)]^2 at real x."""
+    """MSE(x) = [x^2 (bias2 + v2) + x v1 + v0] / [m(m-1)(m-x)]^2 at real x.
+
+    ``coeffs`` is a MseCoefficients, or a PhiCoefficients read as
+    (bias2, v2, v1, v0) = (phi3, phi2, phi1, phi0)."""
     if x == m:
         raise PoleAtM("MSE(x) has a pole at x = m")
-    bias2, v2, v1, v0 = coeffs.mse_parts()
+    if isinstance(coeffs, PhiCoefficients):
+        bias2, v2, v1, v0 = coeffs.phi3, coeffs.phi2, coeffs.phi1, coeffs.phi0
+    else:
+        bias2, v2, v1, v0 = coeffs.mse_parts()
     k2 = (m * (m - 1) * (m - x)) ** 2
     return ((bias2 + v2) * x * x + v1 * x + v0) / k2
 

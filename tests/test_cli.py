@@ -1,3 +1,4 @@
+import csv
 import gzip
 import json
 
@@ -259,6 +260,32 @@ class TestSimulateCommand:
         conf.write_text("kind = beta_tail\npi0 = 0.8\ns = 20\nm = 60\nreps = 1\nseed = 3\n")
         code = main(["simulate", "--scenario", str(conf), "--methods", "storey"])
         assert code == 0
+
+    def test_file_and_flags_share_defaults(self, tmp_path, capsys):
+        # pi0, reps, seed and alpha omitted from both
+        conf = tmp_path / "s.conf"
+        conf.write_text("kind = beta_tail\ns = 10\nm = 200\n")
+        assert main(["simulate", "--scenario", str(conf), "--methods", "storey"]) == 0
+        from_file = capsys.readouterr().out
+        assert main(["simulate", "--kind", "beta_tail", "--s", "10", "--m", "200",
+                     "--methods", "storey"]) == 0
+        assert capsys.readouterr().out == from_file
+        assert main(["simulate", "--kind", "beta_tail", "--s", "10", "--m", "200",
+                     "--methods", "storey", "--pi0", "0.9"]) == 0
+        assert capsys.readouterr().out == from_file
+
+    def test_files_hold_the_stdout_rows(self, tmp_path, capsys):
+        assert main(self.ARGS) == 0
+        out = capsys.readouterr().out
+        methods, procedures = out.split("\n\n")
+        base = tmp_path / "t"
+        assert main(self.ARGS + ["--output", str(base)]) == 0
+        assert capsys.readouterr().out == ""
+        for suffix, table in (("_methods.csv", methods), ("_procedures.csv", procedures)):
+            data = base.with_name(base.name + suffix).read_bytes()
+            assert data.endswith(b"\r\n") and b"\n" not in data.replace(b"\r\n", b"")
+            with open(base.with_name(base.name + suffix), newline="") as fh:
+                assert list(csv.reader(fh)) == list(csv.reader(table.splitlines()))
 
     def test_unknown_kind_in_file_lists_kinds(self, tmp_path, capsys):
         conf = tmp_path / "s.conf"

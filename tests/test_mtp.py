@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -215,61 +217,80 @@ class TestStepUpPrefix:
                 assert np.array_equal(res.rejected, rejected)
 
 
+class TestStepUpKeepsRunsWhole:
+    """If p_(k) = p_(k+1) and k is a hit, then p_(k+1) <= k c <= (k+1) c, so
+    the rejected prefix never ends inside a run of equal values."""
+
+    def test_rounded_draws(self):
+        rng = np.random.default_rng(18)
+        inside = 0
+        for _ in range(2000):
+            m = int(rng.integers(2, 401))
+            # mass piled near 0 so that many step-ups reject something
+            values = np.round(rng.random(m) ** float(rng.uniform(1.0, 6.0)),
+                              int(rng.integers(1, 4)))
+            s = load_sample(values)
+            p = s.values
+            for alpha in (0.01, 0.05, 0.15, 0.5, 0.9):
+                for theta in (1.0, 0.7, 0.3, 0.05):
+                    k = _step_up(s, alpha, theta, 0.0).k_hat
+                    if 0 < k < m:
+                        assert p[k - 1] < p[k]
+                        inside += p[k - 1] == p[k - 2] if k > 1 else 0
+        assert inside > 2000   # many prefixes end on a run of ties, taken whole
+
+
 class TestErrorMetrics:
-    def _result(self, m, rejected):
-        rejected = np.asarray(rejected, dtype=np.int64)
-        return MtpResult(threshold=0.5, rejected=rejected, k_hat=len(rejected),
-                         alpha=0.15, theta=1.0, delta=0.0, m=m)
+    def _result(self, m, k_hat):
+        return MtpResult(threshold=0.5, k_hat=k_hat, alpha=0.15, theta=1.0, delta=0.0, m=m)
 
     def test_no_rejections(self):
-        em = error_metrics(self._result(4, []), [True, False, False, True])
+        em = error_metrics(self._result(4, 0), [True, False, False, True])
         assert em.fdp == 0.0
         assert em.fnr == 1.0
 
     def test_all_rejected_all_null(self):
-        em = error_metrics(self._result(3, [0, 1, 2]), [True, True, True])
+        em = error_metrics(self._result(3, 3), [True, True, True])
         assert em.fdp == 1.0
         assert em.fnr == 0.0
 
     def test_hand_example(self):
         # first two rejected; labels: null, alt, alt, null, null
-        em = error_metrics(self._result(5, [0, 1]), [True, False, False, True, True])
+        em = error_metrics(self._result(5, 2), [True, False, False, True, True])
         assert em.fp == 1
         assert em.fdp == 0.5
         assert em.fnr == 0.5
 
     def test_fdp_zero_when_no_null_rejected(self):
-        em = error_metrics(self._result(4, [1, 2]), [True, False, False, True])
-        assert em.fdp == 0.0
+        # the first two rejected, both alternatives; one alternative missed
+        em = error_metrics(self._result(5, 2), [False, False, True, False, True])
+        assert (em.r, em.fp, em.fdp, em.fnr) == (2, 0, 0.0, 1 / 3)
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            error_metrics(self._result(4, []), [True, False])
+            error_metrics(self._result(4, 0), [True, False])
 
-    def test_duplicated_index_counts_once(self):
-        em = error_metrics(self._result(4, [1, 1, 0, 0]), [True, False, False, True])
-        assert (em.r, em.fp, em.fdp, em.fnr) == (2, 1, 0.5, 0.5)
-
-    def test_index_out_of_range_raises(self):
-        with pytest.raises(IndexError):
-            error_metrics(self._result(4, [0, 4]), [True, False, False, True])
+    def test_rejected_is_the_prefix(self):
+        res = self._result(5, 3)
+        assert np.array_equal(res.rejected, [0, 1, 2])
+        assert self._result(5, 0).rejected.size == 0
+        assert "rejected" not in {f.name for f in dataclasses.fields(MtpResult)}
 
     def test_matches_counting_by_mask(self):
-        # any index array, prefix or not, repeated or negative, against
-        # counts taken from the rejection mask and its complement
+        # every prefix k_hat = 0..m, against counts taken from the rejection
+        # mask and its complement
         rng = np.random.default_rng(5)
-        for _ in range(200):
+        for _ in range(40):
             m = int(rng.integers(2, 40))
-            rejected = rng.integers(-m, m, size=int(rng.integers(0, 2 * m)))
             labels = rng.random(m) < rng.random()
-            rej = np.zeros(m, dtype=bool)
-            rej[rejected] = True
-            r, fp = int(rej.sum()), int((rej & labels).sum())
-            n_alt, missed = int((~labels).sum()), int((~rej & ~labels).sum())
-            em = error_metrics(self._result(m, rejected), labels)
-            assert (em.r, em.fp) == (r, fp)
-            assert em.fdp == fp / max(r, 1)
-            assert em.fnr == missed / max(n_alt, 1)
+            for k_hat in range(m + 1):
+                rej = np.arange(m) < k_hat
+                r, fp = int(rej.sum()), int((rej & labels).sum())
+                n_alt, missed = int((~labels).sum()), int((~rej & ~labels).sum())
+                em = error_metrics(self._result(m, k_hat), labels)
+                assert (em.r, em.fp) == (r, fp)
+                assert em.fdp == fp / max(r, 1)
+                assert em.fnr == missed / max(n_alt, 1)
 
     def test_fdp_always_in_unit_interval(self):
         rng = np.random.default_rng(4)

@@ -8,6 +8,7 @@ import pytest
 
 from pi0cv import sim_harness
 from pi0cv.errors import InputError, InvalidAlpha, InvalidMethod, InvalidSample
+from pi0cv.histogram_core import PValueSample
 from pi0cv.sim_harness import (
     KIND_FIELDS,
     ScenarioSpec,
@@ -210,23 +211,31 @@ class TestNullUniformityAcrossGenerators:
         assert math.sqrt(len(null_p)) * ks_statistic(null_p) < KS_1PCT
 
 
-def _stable_assemble(values, nulls):
-    """The sort the key sort replaces: a stable argsort carrying the labels."""
-    order = np.argsort(values, kind="stable")
+def _lexsort_assemble(values, nulls):
+    """The reference order: by value, then alternatives before nulls."""
+    order = np.lexsort((nulls, values))
     return values[order], nulls[order]
 
 
-def _assert_same_as_stable_argsort(values, nulls):
+def _assert_same_as_lexsort(values, nulls):
     sample, labels = sim_harness._assemble(values, nulls)
-    ref_values, ref_labels = _stable_assemble(values, nulls)
+    ref_values, ref_labels = _lexsort_assemble(values, nulls)
     assert np.array_equal(sample.values.view(np.uint64), ref_values.view(np.uint64))
     assert labels.dtype == bool and np.array_equal(labels, ref_labels)
     assert sample.m == values.size
 
 
+def _stable_assemble(values, nulls):
+    """A stable argsort carrying the labels: within a run of equal values,
+    the labels keep their draw order."""
+    order = np.argsort(values, kind="stable")
+    return PValueSample(values=values[order], m=values.size), nulls[order]
+
+
 class TestAssemble:
-    """``_assemble`` sorts one packed (value bits, null label) key per value;
-    it must equal the stable argsort bit for bit, ties and signed zeros included."""
+    """``_assemble`` sorts one packed (value bits, null label) key per value.
+    It must equal a lexsort by (value, label) bit for bit, call no argsort, and
+    refuse any value outside [+0, 1]."""
 
     @pytest.fixture
     def argsort_calls(self, monkeypatch):
@@ -240,11 +249,10 @@ class TestAssemble:
         monkeypatch.setattr(sim_harness.np, "argsort", spy)
         return calls
 
-    def test_generated_values_match_stable_argsort(self):
+    def test_generated_values_match_lexsort(self, argsort_calls):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        # small pools make ties, with one label or both, the common case; a
-        # NaN breaks PValueSample's contract, so a sample holding one is refused
+        # small pools make ties, with one label or both, the common case
         edges = [0.0, -0.0, 1.0, 0.5, 0.25, 1 / 3, 2 / 3, 0.1, 0.7, 1 / 7, math.nan]
         pool = st.sampled_from(edges) | st.floats(0.0, 1.0)
 
@@ -253,16 +261,17 @@ class TestAssemble:
         def check(pairs):
             values = np.array([v for v, _ in pairs], dtype=float)
             nulls = np.array([n for _, n in pairs], dtype=bool)
-            if np.isnan(values).any():
+            if (np.isnan(values) | np.signbit(values)).any():
                 with pytest.raises(InvalidSample):
                     sim_harness._assemble(values, nulls)
             else:
-                _assert_same_as_stable_argsort(values, nulls)
+                _assert_same_as_lexsort(values, nulls)
 
         check()
+        assert argsort_calls == []
 
     @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
-    def test_million_value_draw_matches_stable_argsort(self, kind, monkeypatch, argsort_calls):
+    def test_million_value_draw_matches_lexsort(self, kind, monkeypatch, argsort_calls):
         kwargs = {"beta_tail": dict(s=10.0), "trunc_beta": dict(s=4.0, lambda_star=0.2),
                   "ushape": dict(a=-40.0, b=40.0, sd=1.0)}[kind]
         spec = ScenarioSpec(kind=kind, pi0=0.5, m=1_000_000, reps=1, seed=3, **kwargs)
@@ -275,21 +284,17 @@ class TestAssemble:
 
         monkeypatch.setattr(sim_harness, "_assemble", keep_inputs)
         draw_sample(spec, replicate_rng(3, 0))
-        assert argsort_calls == []   # generated ties hold one label: no fallback
-        _assert_same_as_stable_argsort(*seen[0])
+        assert argsort_calls == []
+        _assert_same_as_lexsort(*seen[0])
 
-    def test_mixed_label_tie_takes_the_stable_argsort(self, argsort_calls):
-        # the merge would put the alternative 0.5 after the null 0.5
+    def test_mixed_label_tie_puts_alternatives_first(self, argsort_calls):
+        # a stable argsort would keep the null 0.5 first, as drawn
         values = np.array([0.5, 0.5, 0.2])
-        nulls = np.array([False, True, True])
-        _, labels = sim_harness._assemble(values, nulls)
-        assert argsort_calls == ["stable"]
+        nulls = np.array([True, False, True])
+        sample, labels = sim_harness._assemble(values, nulls)
+        assert argsort_calls == []
+        assert sample.values.tolist() == [0.2, 0.5, 0.5]
         assert labels.tolist() == [True, False, True]
-
-    def test_signed_zeros_take_the_stable_argsort(self, argsort_calls):
-        values = np.array([0.0, -0.0, 0.0, 0.5])
-        _assert_same_as_stable_argsort(values, np.ones(4, dtype=bool))
-        assert argsort_calls == ["stable", "stable"]   # the fallback, then the reference
 
     def test_single_label_ties_are_merged(self, argsort_calls):
         values = np.array([0.5, 0.5, 0.2, 1.0, 1.0, 0.0, 0.0])
@@ -309,32 +314,50 @@ class TestAssemble:
         ([1.0, np.nextafter(1.0, 0.0)], [False, True]),
         ([0.7, 0.3], [True, False]),
         ([0.3, 0.3], [True, True]),
-    ])
-    def test_key_edges_take_no_fallback(self, argsort_calls, values, nulls):
-        _assert_same_as_stable_argsort(np.array(values), np.array(nulls))
-        assert argsort_calls == ["stable"]   # the reference alone
-
-    @pytest.mark.parametrize("values, nulls", [
+        # runs of equal values that hold both labels
         ([0.0, 0.3, 0.0], [True, False, False]),
         ([1.0, 0.3, 1.0], [True, True, False]),
         ([0.25, 0.75, 0.25, 0.25], [False, True, True, False]),
-        ([-0.0, 0.5], [True, False]),
-        ([0.5, -0.0, 0.0, -0.0], [True, False, False, False]),
-        # numpy's AVX-512 float sort returns this -0.0 as 0.0
-        ([0.9, 0.8, 0.7, 0.6, -0.0, 0.5, 0.0, 0.0, 0.4, 0.3, 0.2, 0.1, 0.0], [False] * 13),
     ])
-    def test_mixed_ties_and_negative_zero_take_the_stable_argsort(self, argsort_calls, values,
-                                                                  nulls):
-        _assert_same_as_stable_argsort(np.array(values), np.array(nulls))
-        assert argsort_calls == ["stable", "stable"]   # the fallback, then the reference
+    def test_key_edges_and_mixed_ties(self, argsort_calls, values, nulls):
+        _assert_same_as_lexsort(np.array(values), np.array(nulls))
+        assert argsort_calls == []
 
-    @pytest.mark.parametrize("bad", [np.nextafter(1.0, 2.0), -0.25, -np.nextafter(0.0, 1.0),
-                                     math.nan, -math.nan, math.inf, 2.0])
-    def test_values_outside_the_unit_interval_take_the_stable_argsort(self, argsort_calls, bad):
-        values, nulls = np.array([0.5, bad, 0.1]), np.array([True, False, True])
+    @pytest.mark.parametrize("values", [
+        [0.5, np.nextafter(1.0, 2.0), 0.1], [0.5, -0.25, 0.1],
+        [0.5, -np.nextafter(0.0, 1.0), 0.1], [0.5, math.nan, 0.1], [0.5, -math.nan, 0.1],
+        [0.5, math.inf, 0.1], [0.5, 2.0, 0.1], [-0.0, 0.5], [0.0, -0.0, 0.0, 0.5],
+        [0.9, 0.8, 0.7, 0.6, -0.0, 0.5, 0.0, 0.0, 0.4, 0.3, 0.2, 0.1, 0.0],
+    ])
+    def test_values_outside_the_unit_interval_raise(self, argsort_calls, values):
+        values = np.array(values)
         with pytest.raises(InvalidSample):
-            sim_harness._assemble(values, nulls)
-        assert argsort_calls == ["stable"]
+            sim_harness._assemble(values, np.ones(values.size, dtype=bool))
+        assert argsort_calls == []
+
+    def test_lattice_tables_do_not_read_the_tie_order(self, monkeypatch):
+        # p-values on the lattice k / 100 hold runs of equal values with both
+        # labels, which the key sort and a stable argsort order apart; every
+        # procedure rejects some of them
+        key_sort = sim_harness._assemble
+        label_orders_differ = []
+
+        def on_lattice(assemble):
+            def inner(values, nulls):
+                values = np.ceil(values * 100.0) / 100.0
+                label_orders_differ.append(
+                    not np.array_equal(key_sort(values, nulls)[1], _stable_assemble(values, nulls)[1]))
+                return assemble(values, nulls)
+            return inner
+
+        spec = ScenarioSpec(kind="beta_tail", pi0=0.7, m=300, reps=6, seed=21, s=50.0)
+        tables = []
+        for assemble in (key_sort, _stable_assemble):
+            monkeypatch.setattr(sim_harness, "_assemble", on_lattice(assemble))
+            tables.append(summary_json_dict(run_scenario(spec, methods=("lpo", "storey"))))
+        assert all(label_orders_differ)
+        assert all(row["fdr_x100"] > 0.0 for row in tables[0]["procedures"].values())
+        assert tables[0] == tables[1]
 
 
 class TestScenarioSpecValidation:
@@ -488,6 +511,18 @@ class TestScenarioFiles:
         f.write_text("kind = beta_tail\npi0 = 0.5\ns = 10\nm = 20\nreps = 1\nseed = 0\n")
         _, alpha = parse_scenario_file(f)
         assert alpha == 0.15
+
+    def test_omitted_fields_take_the_flags_defaults(self, tmp_path):
+        from pi0cv.cli import build_parser
+
+        f = tmp_path / "s.conf"
+        f.write_text("kind = beta_tail\ns = 10\nm = 200\n")
+        spec, alpha = parse_scenario_file(f)
+        flags = build_parser().parse_args(["simulate", "--kind", "beta_tail", "--s", "10",
+                                           "--m", "200"])
+        assert (spec.pi0, spec.reps, spec.seed, alpha) == (0.9, 1, 0, 0.15)
+        assert (spec.pi0, spec.m, spec.reps, spec.seed, alpha) == \
+            (flags.pi0, flags.m, flags.reps, flags.seed, flags.alpha)
 
     def test_unknown_kind_message(self, tmp_path):
         f = tmp_path / "s.conf"
