@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import sim_harness
 from .errors import (
+    ConflictingFlags,
     InputError,
     InvalidAlpha,
     InvalidDelta,
@@ -40,6 +41,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_DEGENERATE = 4
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _write(text: str, output: str | None) -> None:
@@ -115,15 +120,18 @@ def cmd_mtp(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    given = [n for n in ("kind", *sim_harness.SCENARIO_TYPES) if getattr(args, n) is not None]
     if args.scenario:
+        if given:
+            raise ConflictingFlags("--scenario takes every scenario field from its file; "
+                                   f"drop {', '.join(map(_flag, given))}")
         spec, alpha = parse_scenario_file(args.scenario)
     else:
         if args.kind is None:
             raise InputError("either --scenario or --kind is required")
-        spec = sim_harness.ScenarioSpec(
-            kind=args.kind, pi0=args.pi0, m=args.m, reps=args.reps, seed=args.seed,
-            s=args.s, lambda_star=args.lambda_star, a=args.a, b=args.b, sd=args.sd)
-        alpha = args.alpha
+        fields = {**sim_harness.SCENARIO_DEFAULTS, **{name: getattr(args, name) for name in given}}
+        alpha = fields.pop("alpha")
+        spec = sim_harness.ScenarioSpec(**fields)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     table = run_scenario(spec, methods=methods, alpha=alpha, delta=args.delta)
     if args.output:
@@ -194,19 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="replicated scenario study")
     p.add_argument("--scenario", default=None, help="flat key=value scenario file")
-    p.add_argument("--kind", choices=sim_harness.KINDS, default=None)
-    defaults = sim_harness.SCENARIO_DEFAULTS
-    p.add_argument("--pi0", type=float, default=defaults["pi0"])
-    p.add_argument("--s", type=float, default=None)
-    p.add_argument("--lambda-star", dest="lambda_star", type=float, default=None)
-    p.add_argument("--a", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-    p.add_argument("--sd", type=float, default=None)
-    p.add_argument("--m", type=int, default=defaults["m"])
-    p.add_argument("--reps", type=int, default=defaults["reps"])
-    p.add_argument("--seed", type=int, default=defaults["seed"])
-    p.add_argument("--alpha", type=float, default=defaults["alpha"],
-                   help="target FDR level for inline runs (a --scenario file carries its own)")
+    p.add_argument("--kind", choices=sim_harness.KINDS)
+    for name, parse in sim_harness.SCENARIO_TYPES.items():
+        default = sim_harness.SCENARIO_DEFAULTS.get(name)
+        note = "" if default is None else f"default {default}; "
+        p.add_argument(_flag(name), type=parse,
+                       help=f"{note}not allowed with --scenario, whose file sets it")
     p.add_argument("--delta", type=float, default=0.0)
     p.add_argument("--methods", default=",".join(sim_harness.DEFAULT_METHODS))
     p.add_argument("--output", default=None, help="base path for CSV/JSON outputs")
@@ -231,7 +232,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InvalidAlpha, InvalidTheta, InvalidDelta, InvalidLambda, InvalidMethod,
-            InvalidRange) as exc:
+            InvalidRange, ConflictingFlags) as exc:
         sys.stderr.write(dumps17({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return EXIT_USAGE
     except InputError as exc:

@@ -66,5 +66,9 @@ class InvalidMethod(InputError):
     pass
 
 
+class ConflictingFlags(InputError):
+    """Command-line options that exclude each other."""
+
+
 class LengthMismatch(Pi0cvError, ValueError):
     pass

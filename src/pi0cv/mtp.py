@@ -10,8 +10,8 @@ are rejected.  That prefix is the contract; ``MtpResult`` holds it as k_hat.
 It never ends inside a run of equal values: the rounded cuts i * c, with
 c = alpha / (m * theta), never fall as i grows, so p_(k+1) = p_(k) <= k c
 makes k + 1 a hit too.  The reported threshold, alpha * k_hat / (m * theta)
-clamped into the half-open plateau [p_(k_hat), p_(k_hat+1)) and capped at 1,
-recovers exactly the rejected set by value as {P_i <= threshold}.
+clamped into [p_(k_hat), p_(k_hat+1)) and capped at 1, gives the rejected set
+by value, {P_i <= threshold}: the rule of ``rejected_mask`` and ``error_metrics``.
 """
 
 from __future__ import annotations
@@ -111,19 +111,20 @@ def bh_procedure(sample: PValueSample, alpha: float) -> MtpResult:
     return _step_up(sample, alpha, 1.0, 0.0)
 
 
-def error_metrics(result: MtpResult, labels) -> ErrorMetrics:
-    """False discovery proportion and miss rate against known labels.
+def error_metrics(result: MtpResult, null_values) -> ErrorMetrics:
+    """False discovery proportion and miss rate, given the true nulls' p-values.
 
-    ``labels``: boolean, True marks a true null hypothesis, aligned with the
-    sorted sample the result was computed from, whose first ``k_hat`` values
-    are the rejected ones.
+    ``null_values`` come from the sample the result was computed from, in any
+    order; a null is a false discovery when P <= threshold (``rejected_mask``).
     """
-    labels = np.asarray(labels, dtype=bool)
-    if labels.size != result.m:
-        raise LengthMismatch(f"{labels.size} labels for m={result.m}")
+    null_values = np.asarray(null_values)
+    if null_values.dtype == bool:
+        raise TypeError("error_metrics takes the null p-values, not labels")
+    if null_values.size > result.m:
+        raise LengthMismatch(f"{null_values.size} null values for m={result.m}")
     r = result.k_hat
-    fp = int(np.count_nonzero(labels[:r]))
-    n_alt = result.m - int(np.count_nonzero(labels))
+    fp = int(np.count_nonzero(rejected_mask(null_values, result)))
+    n_alt = result.m - null_values.size
     missed = n_alt - (r - fp)
     return ErrorMetrics(fdp=fp / max(r, 1), fnr=missed / max(n_alt, 1), fp=fp, r=r)
 

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, InvalidMethod, InvalidSample
+from .errors import InputError, InvalidMethod
 from .histogram_core import PValueSample
 from .jsonio import dumps17
 from .mtp import bh_procedure, check_alpha, check_delta, error_metrics, plugin_mtp
@@ -76,6 +77,8 @@ class ScenarioSpec:
             raise InputError("m must be >= 2")
         if self.reps < 1:
             raise InputError("reps must be >= 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         for name in ("s", "lambda_star", "a", "b", "sd"):
             if getattr(self, name) is not None and name not in KIND_FIELDS[self.kind]:
                 raise InputError(f"kind {self.kind} does not use {name}")
@@ -168,8 +171,6 @@ _ERFC_SPLIT = float(np.uint64(0x4006DB6D00000000).view(np.float64))
 # was measured on 2e7 tail arguments with numpy 2.4's AVX-512 exp
 _ERFC_ULPS = 8
 _CDF_BLOCK = 1 << 16
-# the bits of 1.0, the largest that a value in [+0, 1] can have
-_ONE_BITS = 0x3FF0000000000000
 
 
 def _ratio(z: np.ndarray, coeffs) -> np.ndarray:
@@ -258,27 +259,11 @@ def normal_cdf(x) -> np.ndarray:
     return cdf if cdf.ndim else cdf[()]
 
 
-def _assemble(values: np.ndarray, nulls: np.ndarray) -> tuple[PValueSample, np.ndarray]:
-    """The sorted sample and its null labels, by one in-place sort of packed keys.
-
-    A float64 in [+0, 1] has its top two bits clear, and the order of such
-    values is the order of their bits read as uint64.  Each value's bits,
-    shifted left by one with the null label in bit 0, make one key; sorting
-    the keys orders the values and, within a run of equal values, puts the
-    alternatives first.  No output reads that order: the step-up never splits
-    a run of equal values (see ``mtp``), so ``error_metrics`` counts each run
-    whole.  The shift would drop the sign bit, so a value whose bits exceed
-    those of 1.0 (-0.0, NaN, a negative, one above 1) raises InvalidSample.
-    """
-    bits = values.view(np.uint64)
-    if bits.max(initial=0) > _ONE_BITS:
-        raise InvalidSample("values must lie in [+0, 1]")
-    keys = bits << 1
-    keys |= nulls
-    keys.sort()
-    labels = (keys & 1).astype(bool)
-    keys >>= 1
-    return PValueSample(values=keys.view(np.float64), m=int(values.size)), labels
+def _draw(null_values: np.ndarray, alt_values: np.ndarray) -> tuple[PValueSample, np.ndarray]:
+    """The sorted sample of the null and alternative p-values, and the null values."""
+    values = np.concatenate((null_values, alt_values))
+    values.sort()
+    return PValueSample(values=values, m=int(values.size)), null_values
 
 
 def sample_beta_tail(pi0: float, s: float, m: int, rng) -> tuple[PValueSample, np.ndarray]:
@@ -292,8 +277,7 @@ def sample_trunc_beta(pi0: float, s: float, lambda_star: float, m: int,
     """Alternative density s/l* (1 - t/l*)^(s-1) supported on [0, lambda_star]."""
     nulls = rng.random(m) < pi0
     u = rng.random(m)
-    values = np.where(nulls, u, lambda_star * (1.0 - u ** (1.0 / s)))
-    return _assemble(values, nulls)
+    return _draw(u[nulls], lambda_star * (1.0 - u[~nulls] ** (1.0 / s)))
 
 
 def sample_ushape(pi0: float, a: float, b: float, sd: float, m: int,
@@ -306,20 +290,18 @@ def sample_ushape(pi0: float, a: float, b: float, sd: float, m: int,
     up near 0 (mean b > 0) and near 1 (mean a < 0).
     """
     comp = rng.random(m)
-    nulls = comp < pi0
-    lower = (~nulls) & (comp < pi0 + (1.0 - pi0) / 2.0)
-    upper = (~nulls) & ~lower
-    x = np.empty(m)
-    x[nulls] = rng.normal(0.0, USHAPE_NULL_SD, int(nulls.sum()))
-    x[lower] = rng.normal(a, sd, int(lower.sum()))
-    x[upper] = rng.normal(b, sd, int(upper.sum()))
+    n_null = int(np.count_nonzero(comp < pi0))
+    n_lower = int(np.count_nonzero(comp < pi0 + (1.0 - pi0) / 2.0)) - n_null
+    x = np.concatenate((rng.normal(0.0, USHAPE_NULL_SD, n_null), rng.normal(a, sd, n_lower),
+                        rng.normal(b, sd, m - n_null - n_lower)))
     x /= USHAPE_NULL_SD
     values = normal_cdf(x)
     np.subtract(1.0, values, out=values)
-    return _assemble(values, nulls)
+    return _draw(values[:n_null], values[n_null:])
 
 
 def draw_sample(spec: ScenarioSpec, rng) -> tuple[PValueSample, np.ndarray]:
+    """One replicate's sorted sample, and the p-values of its true nulls."""
     if spec.kind == "beta_tail":
         return sample_beta_tail(spec.pi0, spec.s, spec.m, rng)
     if spec.kind == "trunc_beta":
@@ -346,19 +328,19 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS,
     replicates: list[ReplicateResult] = []
     for rep in range(spec.reps):
         rng = replicate_rng(spec.seed, rep)
-        sample, nulls = draw_sample(spec, rng)
+        sample, null_values = draw_sample(spec, rng)
         rr = ReplicateResult(rep=rep, seed_used=spec.seed)
         try:
             for method, config in configs.items():
                 est = estimate_pi0(sample, config)
                 rr.pi0_hat[method] = est.pi0
                 res = plugin_mtp(sample, alpha, est, delta)
-                em = error_metrics(res, nulls)
+                em = error_metrics(res, null_values)
                 rr.fdp[method] = em.fdp
                 rr.fnr[method] = em.fnr
-            em = error_metrics(bh_procedure(sample, alpha), nulls)
+            em = error_metrics(bh_procedure(sample, alpha), null_values)
             rr.fdp["bh"], rr.fnr["bh"] = em.fdp, em.fnr
-            em = error_metrics(plugin_mtp(sample, alpha, spec.pi0, 0.0), nulls)
+            em = error_metrics(plugin_mtp(sample, alpha, spec.pi0, 0.0), null_values)
             rr.fdp["oracle"], rr.fnr["oracle"] = em.fdp, em.fnr
         except Exception as exc:  # noqa: BLE001 - replicate failures are data
             rr.failed = True
@@ -389,31 +371,38 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS,
                         valid=not any(r.failed for r in replicates))
 
 
-_SCENARIO_KEYS = (*(f.name for f in dataclasses.fields(ScenarioSpec)), "alpha")
+# how a scenario file and simulate's flags parse each field after kind
+SCENARIO_TYPES = {**{f.name: int if f.type == "int" else float
+                     for f in dataclasses.fields(ScenarioSpec)[1:]}, "alpha": float}
+_SCENARIO_KEYS = ("kind", *SCENARIO_TYPES)
 
 
 def parse_scenario_file(path: str | Path) -> tuple[ScenarioSpec, float]:
-    """Flat key = value scenario format; '#' comments; returns (spec, alpha).
+    """Flat key = value scenario format in UTF-8; '#' comments; returns (spec, alpha).
 
-    An unknown or repeated key, or a value that does not parse as its key's
-    type, raises InputError citing the line."""
+    An unknown or repeated key, a value that does not parse as its key's type,
+    or a byte that is not UTF-8, raises InputError citing the line."""
+    content = Path(path).read_bytes().decode("utf-8", "surrogateescape")
     fields: dict[str, tuple[str, int]] = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise InputError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in _SCENARIO_KEYS:
-                raise InputError(f"{path}:{lineno}: unknown key {key!r}; "
-                                 f"valid keys: {', '.join(_SCENARIO_KEYS)}")
-            if key in fields:
-                raise InputError(f"{path}:{lineno}: duplicate key {key!r} "
-                                 f"(first on line {fields[key][1]})")
-            fields[key] = (value.strip(), lineno)
+    for lineno, line in enumerate(io.StringIO(content, newline=None), start=1):
+        try:
+            line.encode("utf-8")    # a byte that is not UTF-8 decoded to a lone surrogate
+        except UnicodeEncodeError:
+            raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise InputError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = text.partition("=")
+        key = key.strip()
+        if key not in _SCENARIO_KEYS:
+            raise InputError(f"{path}:{lineno}: unknown key {key!r}; "
+                             f"valid keys: {', '.join(_SCENARIO_KEYS)}")
+        if key in fields:
+            raise InputError(f"{path}:{lineno}: duplicate key {key!r} "
+                             f"(first on line {fields[key][1]})")
+        fields[key] = (value.strip(), lineno)
     if "kind" not in fields:
         raise InputError(f"{path}: missing 'kind'; valid kinds: {', '.join(KINDS)}")
 
@@ -427,19 +416,9 @@ def parse_scenario_file(path: str | Path) -> tuple[ScenarioSpec, float]:
             kind = "an integer" if parse is int else "a number"
             raise InputError(f"{path}:{lineno}: {key} must be {kind}, got {value!r}") from None
 
-    spec = ScenarioSpec(
-        kind=fields["kind"][0],
-        pi0=_get("pi0", float),
-        m=_get("m", int),
-        reps=_get("reps", int),
-        seed=_get("seed", int),
-        s=_get("s", float),
-        lambda_star=_get("lambda_star", float),
-        a=_get("a", float),
-        b=_get("b", float),
-        sd=_get("sd", float),
-    )
-    return spec, _get("alpha", float)
+    values = {key: _get(key, parse) for key, parse in SCENARIO_TYPES.items()}
+    alpha = values.pop("alpha")
+    return ScenarioSpec(kind=fields["kind"][0], **values), alpha
 
 
 def _g(x: float) -> str:

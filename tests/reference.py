@@ -10,8 +10,12 @@ None of this is on the product path.  It holds:
 * ``full_family``, the whole partition family scored with no pruning and no
   blocks, which the search's tests compare ``pi0_estimator._scan`` and
   ``estimate_pi0`` against;
+* ``labelled_draw`` and ``label_prefix_metrics``, the simulation draws and
+  error counts as the package made them when each value carried a null label:
+  ``draw_sample``'s values and null values, and ``error_metrics``'s counts by
+  value, are compared against them;
 * small helpers: ``cell_edges``, ``histogram_heights``, ``compositions``,
-  ``sample_with_counts`` and ``consistency_probe``.
+  ``sample_with_counts``, ``consistency_probe`` and ``multiset_difference``.
 """
 
 import itertools
@@ -31,8 +35,9 @@ from pi0cv.lpo_risk import (
     _risk_from_sums,
     selection_mse,
 )
+from pi0cv.mtp import ErrorMetrics
 from pi0cv.pi0_estimator import EstimatorConfig, estimate_pi0
-from pi0cv.sim_harness import draw_sample, replicate_rng
+from pi0cv.sim_harness import USHAPE_NULL_SD, draw_sample, normal_cdf, replicate_rng
 
 ORACLE_MAX_M = 12
 ENUM_MAX_M = 10
@@ -194,6 +199,58 @@ def consistency_probe(pi0, model, sizes, seed, cfg=EstimatorConfig()):
         est = estimate_pi0(sample, cfg)
         errors.append(abs(est.pi0 - pi0))
     return errors
+
+
+def labelled_draw(spec, rng):
+    """One replicate drawn with a null label per value: (sorted values, labels).
+
+    The unsorted values come from ``np.where`` (beta_tail, trunc_beta) or from
+    three boolean-mask scatters (ushape), with the same calls on ``rng`` as
+    ``draw_sample`` makes, and ``np.lexsort`` orders them by value, then label.
+    """
+    m = spec.m
+    if spec.kind == "ushape":
+        comp = rng.random(m)
+        nulls = comp < spec.pi0
+        lower = ~nulls & (comp < spec.pi0 + (1.0 - spec.pi0) / 2.0)
+        upper = ~nulls & ~lower
+        x = np.empty(m)
+        x[nulls] = rng.normal(0.0, USHAPE_NULL_SD, int(nulls.sum()))
+        x[lower] = rng.normal(spec.a, spec.sd, int(lower.sum()))
+        x[upper] = rng.normal(spec.b, spec.sd, int(upper.sum()))
+        values = 1.0 - normal_cdf(x / USHAPE_NULL_SD)
+    else:
+        lambda_star = spec.lambda_star if spec.kind == "trunc_beta" else 1.0
+        nulls = rng.random(m) < spec.pi0
+        u = rng.random(m)
+        values = np.where(nulls, u, lambda_star * (1.0 - u ** (1.0 / spec.s)))
+    order = np.lexsort((nulls, values))
+    return values[order], nulls[order]
+
+
+def label_prefix_metrics(result, labels):
+    """Error counts with labels aligned to the sorted sample: the false
+    discoveries are the nulls among its ``k_hat`` smallest values."""
+    r = result.k_hat
+    fp = int(np.count_nonzero(labels[:r]))
+    n_alt = result.m - int(np.count_nonzero(labels))
+    missed = n_alt - (r - fp)
+    return ErrorMetrics(fdp=fp / max(r, 1), fnr=missed / max(n_alt, 1), fp=fp, r=r)
+
+
+def multiset_difference(values, taken):
+    """The values, sorted, with one copy of each taken value removed.
+
+    ``taken`` must be a sub-multiset of ``values``, equal value for value."""
+    values, taken = np.sort(values), np.sort(taken)
+    # the j-th copy of a value in ``taken`` removes the j-th copy in ``values``
+    idx = (np.searchsorted(values, taken, side="left")
+           + np.arange(taken.size) - np.searchsorted(taken, taken, side="left"))
+    if taken.size and not (idx[-1] < values.size and np.array_equal(values[idx], taken)):
+        raise ValueError("taken is not a sub-multiset of values")
+    keep = np.ones(values.size, dtype=bool)
+    keep[idx] = False
+    return values[keep]
 
 
 def full_family(sample, tab, adaptive_p):

@@ -261,6 +261,80 @@ class TestSimulateCommand:
         code = main(["simulate", "--scenario", str(conf), "--methods", "storey"])
         assert code == 0
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--m", "500"], "--m"),
+        (["--reps", "3", "--m", "500", "--kind", "ushape"], "--kind, --m, --reps"),
+        (["--pi0", "0.5", "--seed", "0", "--alpha", "0.15"], "--pi0, --seed, --alpha"),
+        (["--s", "10", "--lambda-star", "0.2", "--a", "-1", "--b", "1", "--sd", "1"],
+         "--s, --lambda-star, --a, --b, --sd"),
+    ])
+    def test_scenario_file_with_scenario_flags_is_usage_error(self, tmp_path, capsys,
+                                                              monkeypatch, flags, named):
+        import pi0cv.sim_harness as sim
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "draw_sample", no_replicates)
+        conf = tmp_path / "s.conf"
+        conf.write_text("kind = beta_tail\ns = 10\nm = 60\nreps = 1\n")
+        code = main(["simulate", "--scenario", str(conf), *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {
+            "error": "ConflictingFlags",
+            "message": f"--scenario takes every scenario field from its file; drop {named}"}
+
+    def test_scenario_file_takes_delta_methods_and_output(self, tmp_path, capsys):
+        conf = tmp_path / "s.conf"
+        conf.write_text("kind = beta_tail\ns = 10\nm = 60\nreps = 1\n")
+        base = tmp_path / "t"
+        assert main(["simulate", "--scenario", str(conf), "--delta", "0.05",
+                     "--methods", "storey", "--output", str(base)]) == 0
+        assert capsys.readouterr().out == ""
+        rows = base.with_name("t_methods.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["method", "storey"]
+
+    @pytest.mark.parametrize("source", ["flags", "scenario"])
+    def test_negative_seed_exits_3(self, tmp_path, capsys, monkeypatch, source):
+        import pi0cv.sim_harness as sim
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(sim, "draw_sample", no_replicates)
+        if source == "flags":
+            code = main(["simulate", "--kind", "beta_tail", "--s", "10", "--m", "50",
+                         "--seed", "-1"])
+            seed = -1
+        else:
+            conf = tmp_path / "s.conf"
+            conf.write_text("kind = beta_tail\ns = 10\nm = 50\nseed = -3\n")
+            code = main(["simulate", "--scenario", str(conf)])
+            seed = -3
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "InputError",
+                                            "message": f"seed must be >= 0, got {seed}"}
+
+    @pytest.mark.parametrize("content, line", [
+        (b"kind = beta_tail\ns = 10\n# caf\xe9\nm = 50\n", 3),
+        (b"kind = beta_tail\r\ns = 10\rm = 50\xff\n", 3),
+        (b"\x80kind = beta_tail\n", 1),
+    ], ids=["comment", "crlf_and_cr", "first_byte"])
+    def test_scenario_file_not_utf8_exits_3(self, tmp_path, capsys, content, line):
+        conf = tmp_path / "s.conf"
+        conf.write_bytes(content)
+        code = main(["simulate", "--scenario", str(conf)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "InputError",
+                                            "message": f"{conf}:{line}: not valid UTF-8"}
+
     def test_file_and_flags_share_defaults(self, tmp_path, capsys):
         # pi0, reps, seed and alpha omitted from both
         conf = tmp_path / "s.conf"

@@ -241,53 +241,73 @@ class TestStepUpKeepsRunsWhole:
 
 
 class TestErrorMetrics:
-    def _result(self, m, k_hat):
-        return MtpResult(threshold=0.5, k_hat=k_hat, alpha=0.15, theta=1.0, delta=0.0, m=m)
+    """Counts on real samples: ``error_metrics`` gets the true nulls' p-values."""
 
     def test_no_rejections(self):
-        em = error_metrics(self._result(4, 0), [True, False, False, True])
-        assert em.fdp == 0.0
-        assert em.fnr == 1.0
+        s = load_sample([0.5, 0.6, 0.7, 0.9])
+        em = error_metrics(bh_procedure(s, 0.15), [0.5, 0.9])
+        assert (em.r, em.fp, em.fdp, em.fnr) == (0, 0, 0.0, 1.0)
 
     def test_all_rejected_all_null(self):
-        em = error_metrics(self._result(3, 3), [True, True, True])
+        s = load_sample([0.0, 0.0, 0.0])
+        em = error_metrics(bh_procedure(s, 0.15), [0.0, 0.0, 0.0])
         assert em.fdp == 1.0
         assert em.fnr == 0.0
 
     def test_hand_example(self):
-        # first two rejected; labels: null, alt, alt, null, null
-        em = error_metrics(self._result(5, 2), [True, False, False, True, True])
+        # 0.01 and 0.02 rejected; nulls 0.01, 0.6 and 0.9, alternatives 0.02 and 0.5
+        em = error_metrics(bh_procedure(load_sample(FIXTURE), 0.15), [0.9, 0.01, 0.6])
         assert em.fp == 1
         assert em.fdp == 0.5
         assert em.fnr == 0.5
 
     def test_fdp_zero_when_no_null_rejected(self):
-        # the first two rejected, both alternatives; one alternative missed
-        em = error_metrics(self._result(5, 2), [False, False, True, False, True])
+        # the first two rejected, both alternatives; the alternative 0.6 missed
+        em = error_metrics(bh_procedure(load_sample(FIXTURE), 0.15), [0.5, 0.9])
         assert (em.r, em.fp, em.fdp, em.fnr) == (2, 0, 0.0, 1 / 3)
 
     def test_length_mismatch(self):
+        res = bh_procedure(load_sample([0.1, 0.2]), 0.15)
         with pytest.raises(LengthMismatch):
-            error_metrics(self._result(4, 0), [True, False])
+            error_metrics(res, [0.1, 0.2, 0.2])
+
+    def test_labels_raise(self):
+        # boolean labels would otherwise be read as the p-values 0 and 1
+        res = bh_procedure(load_sample(FIXTURE), 0.15)
+        for labels in ([True, False, False, True, True], np.ones(5, dtype=bool)):
+            with pytest.raises(TypeError):
+                error_metrics(res, labels)
 
     def test_rejected_is_the_prefix(self):
-        res = self._result(5, 3)
+        res = MtpResult(threshold=0.5, k_hat=3, alpha=0.15, theta=1.0, delta=0.0, m=5)
         assert np.array_equal(res.rejected, [0, 1, 2])
-        assert self._result(5, 0).rejected.size == 0
+        assert dataclasses.replace(res, k_hat=0).rejected.size == 0
         assert "rejected" not in {f.name for f in dataclasses.fields(MtpResult)}
 
     def test_matches_counting_by_mask(self):
-        # every prefix k_hat = 0..m, against counts taken from the rejection
-        # mask and its complement
+        # every prefix the step-up can reject, k_hat = 0..m on distinct values
+        # and every run end on rounded ones, against counts taken from the
+        # labels of the rejection mask and its complement
         rng = np.random.default_rng(5)
-        for _ in range(40):
+        for trial in range(80):
             m = int(rng.integers(2, 40))
+            values = rng.random(m)
+            if trial % 2:
+                values = np.round(values, 1)
             labels = rng.random(m) < rng.random()
+            order = np.argsort(values, kind="stable")
+            s, labels = load_sample(values), labels[order]
+            null_values = rng.permutation(s.values[labels])
             for k_hat in range(m + 1):
+                if 0 < k_hat < m and s.values[k_hat - 1] == s.values[k_hat]:
+                    continue    # a prefix that ends inside a run is never rejected
+                threshold = float(s.values[k_hat - 1]) if k_hat else 0.0
+                res = MtpResult(threshold=threshold, k_hat=k_hat, alpha=0.15, theta=1.0,
+                                delta=0.0, m=m)
                 rej = np.arange(m) < k_hat
                 r, fp = int(rej.sum()), int((rej & labels).sum())
                 n_alt, missed = int((~labels).sum()), int((~rej & ~labels).sum())
-                em = error_metrics(self._result(m, k_hat), labels)
+                em = error_metrics(res, null_values)
                 assert (em.r, em.fp) == (r, fp)
                 assert em.fdp == fp / max(r, 1)
                 assert em.fnr == missed / max(n_alt, 1)
@@ -297,8 +317,8 @@ class TestErrorMetrics:
         for _ in range(100):
             m = int(rng.integers(2, 30))
             s = load_sample(rng.random(m))
-            labels = rng.random(m) < 0.5
-            em = error_metrics(plugin_mtp(s, 0.2, 0.5), labels)
+            null_values = s.values[rng.random(m) < 0.5]
+            em = error_metrics(plugin_mtp(s, 0.2, 0.5), null_values)
             assert 0.0 <= em.fdp <= 1.0
             assert 0.0 <= em.fnr <= 1.0
 

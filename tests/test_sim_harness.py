@@ -9,6 +9,7 @@ import pytest
 from pi0cv import sim_harness
 from pi0cv.errors import InputError, InvalidAlpha, InvalidMethod, InvalidSample
 from pi0cv.histogram_core import PValueSample
+from pi0cv.mtp import bh_procedure, error_metrics, plugin_mtp
 from pi0cv.sim_harness import (
     KIND_FIELDS,
     ScenarioSpec,
@@ -24,6 +25,8 @@ from pi0cv.sim_harness import (
     write_summary_csv,
 )
 
+
+from reference import label_prefix_metrics, labelled_draw, multiset_difference
 
 SCENARIOS = Path(__file__).parent.parent / "scenarios"
 
@@ -151,28 +154,28 @@ def _erfc_edges():
 
 class TestBetaTail:
     def test_shape_one_alternatives_are_uniform(self):
-        sample, nulls = sample_beta_tail(0.5, 1.0, 100_000, replicate_rng(1, 0))
-        alts = sample.values[~nulls]
+        sample, null_values = sample_beta_tail(0.5, 1.0, 100_000, replicate_rng(1, 0))
+        alts = multiset_difference(sample.values, null_values)
         assert math.sqrt(len(alts)) * ks_statistic(alts) < KS_1PCT
 
     def test_alternative_cdf_at_half(self):
-        sample, nulls = sample_beta_tail(0.0 + 1e-12, 10.0, 100_000, replicate_rng(2, 0))
-        alts = sample.values[~nulls]
+        sample, null_values = sample_beta_tail(0.0 + 1e-12, 10.0, 100_000, replicate_rng(2, 0))
+        alts = multiset_difference(sample.values, null_values)
         frac = np.mean(alts <= 0.5)
         assert frac == pytest.approx(1 - 0.5 ** 10, abs=0.003)
 
-    def test_labels_sorted_with_values(self):
-        sample, nulls = sample_beta_tail(0.5, 10.0, 2000, replicate_rng(3, 0))
+    def test_null_values_sit_in_the_tail(self):
+        sample, null_values = sample_beta_tail(0.5, 10.0, 2000, replicate_rng(3, 0))
         # alternatives concentrate near zero, so the head must be alt-rich
-        head = nulls[:200].mean()
-        tail = nulls[-200:].mean()
+        head = np.count_nonzero(null_values <= sample.values[199]) / 200
+        tail = np.count_nonzero(null_values >= sample.values[-200]) / 200
         assert head < 0.35 and tail > 0.8
 
 
 class TestTruncBeta:
     def test_support_ends_at_lambda_star(self):
-        sample, nulls = sample_trunc_beta(0.5, 4.0, 0.2, 5000, replicate_rng(4, 0))
-        assert sample.values[~nulls].max() <= 0.2
+        sample, null_values = sample_trunc_beta(0.5, 4.0, 0.2, 5000, replicate_rng(4, 0))
+        assert multiset_difference(sample.values, null_values).max() <= 0.2
 
     def test_reduces_to_beta_tail_at_lambda_one(self):
         a, na = sample_trunc_beta(0.7, 6.0, 1.0, 1000, replicate_rng(5, 0))
@@ -186,13 +189,12 @@ class TestUshape:
         assert 1.0 - normal_cdf(0.0) == 0.5
 
     def test_null_pvalues_uniform(self):
-        sample, nulls = sample_ushape(0.5, -1.5, 1.5, 0.5, 100_000, replicate_rng(6, 0))
-        null_p = sample.values[nulls]
+        _, null_p = sample_ushape(0.5, -1.5, 1.5, 0.5, 100_000, replicate_rng(6, 0))
         assert math.sqrt(len(null_p)) * ks_statistic(null_p) < KS_1PCT
 
     def test_two_sided_pileup(self):
-        sample, nulls = sample_ushape(0.4, -1.5, 1.5, 0.5, 50_000, replicate_rng(7, 0))
-        alts = sample.values[~nulls]
+        sample, null_values = sample_ushape(0.4, -1.5, 1.5, 0.5, 50_000, replicate_rng(7, 0))
+        alts = multiset_difference(sample.values, null_values)
         near_zero = np.mean(alts < 0.1)
         near_one = np.mean(alts > 0.9)
         assert near_zero > 0.35 and near_one > 0.35
@@ -204,158 +206,139 @@ class TestNullUniformityAcrossGenerators:
         ("trunc_beta", dict(s=4.0, lambda_star=0.2)),
         ("ushape", dict(a=-1.0, b=1.0, sd=0.75)),
     ])
-    def test_null_labelled_values_are_uniform(self, kind, kwargs):
+    def test_null_values_are_uniform(self, kind, kwargs):
         spec = ScenarioSpec(kind=kind, pi0=0.6, m=100_000, reps=1, seed=8, **kwargs)
-        sample, nulls = draw_sample(spec, replicate_rng(8, 0))
-        null_p = sample.values[nulls]
+        _, null_p = draw_sample(spec, replicate_rng(8, 0))
         assert math.sqrt(len(null_p)) * ks_statistic(null_p) < KS_1PCT
 
 
-def _lexsort_assemble(values, nulls):
-    """The reference order: by value, then alternatives before nulls."""
-    order = np.lexsort((nulls, values))
-    return values[order], nulls[order]
+DRAW_KWARGS = {"beta_tail": dict(s=10.0), "trunc_beta": dict(s=4.0, lambda_star=0.2),
+               "ushape": dict(a=-1.5, b=1.5, sd=0.5)}
 
 
-def _assert_same_as_lexsort(values, nulls):
-    sample, labels = sim_harness._assemble(values, nulls)
-    ref_values, ref_labels = _lexsort_assemble(values, nulls)
+def _lexsorted(null_values, alt_values):
+    """The labelled reference order: by value, then alternatives before nulls."""
+    values = np.concatenate((null_values, alt_values))
+    labels = np.arange(values.size) < null_values.size
+    order = np.lexsort((labels, values))
+    return values[order], labels[order]
+
+
+def _assert_counts_equal_label_prefix(sample, null_values, labels):
+    """By-value error counts equal the label-prefix counts, for every procedure
+    a replicate runs and a few plug-in levels."""
+    results = [bh_procedure(sample, 0.15)]
+    results += [plugin_mtp(sample, alpha, theta)
+                for alpha in (0.05, 0.15, 0.5) for theta in (0.9, 0.5, 0.1)]
+    for result in results:
+        assert error_metrics(result, null_values) == label_prefix_metrics(result, labels)
+
+
+def _assert_equals_labelled_draw(spec, seed):
+    """The sorted values bit for bit, the null values as a multiset, and the
+    error counts, against the labelled draw of the same stream."""
+    sample, null_values = draw_sample(spec, replicate_rng(seed, 0))
+    ref_values, labels = labelled_draw(spec, replicate_rng(seed, 0))
+    assert sample.m == spec.m
     assert np.array_equal(sample.values.view(np.uint64), ref_values.view(np.uint64))
-    assert labels.dtype == bool and np.array_equal(labels, ref_labels)
-    assert sample.m == values.size
+    assert np.array_equal(np.sort(null_values).view(np.uint64), ref_values[labels].view(np.uint64))
+    _assert_counts_equal_label_prefix(sample, null_values, labels)
 
 
-def _stable_assemble(values, nulls):
-    """A stable argsort carrying the labels: within a run of equal values,
-    the labels keep their draw order."""
-    order = np.argsort(values, kind="stable")
-    return PValueSample(values=values[order], m=values.size), nulls[order]
+class TestDraw:
+    """A draw is the sorted concatenation of its null and alternative values,
+    returned with the null values.  It must equal the labelled draw in
+    ``tests/reference.py`` bit for bit, and counting false discoveries by value
+    must equal counting the labels of the rejected prefix."""
 
+    @pytest.mark.parametrize("m", [2, 3, 1000])
+    @pytest.mark.parametrize("pi0", [1e-12, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_equals_the_labelled_draw(self, kind, pi0, m):
+        spec = ScenarioSpec(kind=kind, pi0=pi0, m=m, reps=1, seed=0, **DRAW_KWARGS[kind])
+        for seed in range(20):
+            _assert_equals_labelled_draw(spec, seed)
 
-class TestAssemble:
-    """``_assemble`` sorts one packed (value bits, null label) key per value.
-    It must equal a lexsort by (value, label) bit for bit, call no argsort, and
-    refuse any value outside [+0, 1]."""
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_million_value_draw_equals_the_labelled_draw(self, kind):
+        # ushape at +-40 puts most alternatives on exactly 0 or 1, in long runs
+        kwargs = dict(DRAW_KWARGS, ushape=dict(a=-40.0, b=40.0, sd=1.0))[kind]
+        _assert_equals_labelled_draw(
+            ScenarioSpec(kind=kind, pi0=0.5, m=1_000_000, reps=1, seed=3, **kwargs), 3)
 
-    @pytest.fixture
-    def argsort_calls(self, monkeypatch):
-        calls = []
-        real = np.argsort
-
-        def spy(*args, **kwargs):
-            calls.append(kwargs.get("kind"))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(sim_harness.np, "argsort", spy)
-        return calls
-
-    def test_generated_values_match_lexsort(self, argsort_calls):
+    def test_tied_values_count_as_the_label_prefix(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         # small pools make ties, with one label or both, the common case
-        edges = [0.0, -0.0, 1.0, 0.5, 0.25, 1 / 3, 2 / 3, 0.1, 0.7, 1 / 7, math.nan]
+        edges = [0.0, 1.0, 0.5, 0.25, 1 / 3, 2 / 3, 0.1, 0.7, 1 / 7, 1e-3, 2e-3, math.nan,
+                 np.nextafter(0.0, 1.0), np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)]
         pool = st.sampled_from(edges) | st.floats(0.0, 1.0)
 
         @hypothesis.settings(max_examples=300, deadline=None, database=None)
-        @hypothesis.given(st.lists(st.tuples(pool, st.booleans()), min_size=2, max_size=60))
-        def check(pairs):
-            values = np.array([v for v, _ in pairs], dtype=float)
-            nulls = np.array([n for _, n in pairs], dtype=bool)
-            if (np.isnan(values) | np.signbit(values)).any():
+        @hypothesis.given(st.lists(pool, max_size=30), st.lists(pool, max_size=30))
+        def check(nulls, alts):
+            null_values, alt_values = np.array(nulls, dtype=float), np.array(alts, dtype=float)
+            hypothesis.assume(null_values.size + alt_values.size >= 2)
+            if np.isnan(null_values).any() or np.isnan(alt_values).any():
                 with pytest.raises(InvalidSample):
-                    sim_harness._assemble(values, nulls)
-            else:
-                _assert_same_as_lexsort(values, nulls)
+                    sim_harness._draw(null_values, alt_values)
+                return
+            sample, returned = sim_harness._draw(null_values, alt_values)
+            ref_values, labels = _lexsorted(null_values, alt_values)
+            assert returned is null_values
+            assert np.array_equal(sample.values.view(np.uint64), ref_values.view(np.uint64))
+            _assert_counts_equal_label_prefix(sample, null_values, labels)
 
         check()
-        assert argsort_calls == []
 
-    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
-    def test_million_value_draw_matches_lexsort(self, kind, monkeypatch, argsort_calls):
-        kwargs = {"beta_tail": dict(s=10.0), "trunc_beta": dict(s=4.0, lambda_star=0.2),
-                  "ushape": dict(a=-40.0, b=40.0, sd=1.0)}[kind]
-        spec = ScenarioSpec(kind=kind, pi0=0.5, m=1_000_000, reps=1, seed=3, **kwargs)
-        seen = []
-        real = sim_harness._assemble
-
-        def keep_inputs(values, nulls):
-            seen.append((values.copy(), nulls.copy()))
-            return real(values, nulls)
-
-        monkeypatch.setattr(sim_harness, "_assemble", keep_inputs)
-        draw_sample(spec, replicate_rng(3, 0))
-        assert argsort_calls == []
-        _assert_same_as_lexsort(*seen[0])
-
-    def test_mixed_label_tie_puts_alternatives_first(self, argsort_calls):
-        # a stable argsort would keep the null 0.5 first, as drawn
-        values = np.array([0.5, 0.5, 0.2])
-        nulls = np.array([True, False, True])
-        sample, labels = sim_harness._assemble(values, nulls)
-        assert argsort_calls == []
-        assert sample.values.tolist() == [0.2, 0.5, 0.5]
-        assert labels.tolist() == [True, False, True]
-
-    def test_single_label_ties_are_merged(self, argsort_calls):
-        values = np.array([0.5, 0.5, 0.2, 1.0, 1.0, 0.0, 0.0])
-        nulls = np.array([True, True, False, False, False, True, True])
-        sample, labels = sim_harness._assemble(values, nulls)
-        assert argsort_calls == []
-        assert sample.values.tolist() == [0.0, 0.0, 0.2, 0.5, 0.5, 1.0, 1.0]
-        assert labels.tolist() == [True, True, False, True, True, False, False]
-
-    @pytest.mark.parametrize("values, nulls", [
-        ([0.0, 0.5, 0.0, 0.0, 1.0], [False, True, False, False, True]),
-        ([1.0, 0.2, 1.0, 1.0, 0.0], [True, False, True, True, False]),
-        ([1.0, 0.0, 1.0, 0.0], [False, True, False, True]),
-        # one ULP apart, the null below: keys 2v + 1 and 2v + 2 differ by 1, not a tie
-        ([np.nextafter(0.5, 1.0), 0.5], [False, True]),
-        ([np.nextafter(0.0, 1.0), 0.0], [False, True]),
-        ([1.0, np.nextafter(1.0, 0.0)], [False, True]),
-        ([0.7, 0.3], [True, False]),
-        ([0.3, 0.3], [True, True]),
-        # runs of equal values that hold both labels
-        ([0.0, 0.3, 0.0], [True, False, False]),
-        ([1.0, 0.3, 1.0], [True, True, False]),
-        ([0.25, 0.75, 0.25, 0.25], [False, True, True, False]),
-    ])
-    def test_key_edges_and_mixed_ties(self, argsort_calls, values, nulls):
-        _assert_same_as_lexsort(np.array(values), np.array(nulls))
-        assert argsort_calls == []
+    def test_negative_zero_is_a_value_like_zero(self):
+        # load_sample accepts -0.0 as well; it sorts and counts as 0.0
+        sample, null_values = sim_harness._draw(np.array([-0.0, 0.5]), np.array([0.0, 0.9]))
+        assert sample.values.tolist() == [0.0, 0.0, 0.5, 0.9]
+        em = error_metrics(bh_procedure(sample, 0.15), null_values)
+        assert (em.r, em.fp) == (2, 1)
 
     @pytest.mark.parametrize("values", [
         [0.5, np.nextafter(1.0, 2.0), 0.1], [0.5, -0.25, 0.1],
         [0.5, -np.nextafter(0.0, 1.0), 0.1], [0.5, math.nan, 0.1], [0.5, -math.nan, 0.1],
-        [0.5, math.inf, 0.1], [0.5, 2.0, 0.1], [-0.0, 0.5], [0.0, -0.0, 0.0, 0.5],
-        [0.9, 0.8, 0.7, 0.6, -0.0, 0.5, 0.0, 0.0, 0.4, 0.3, 0.2, 0.1, 0.0],
+        [0.5, math.inf, 0.1], [0.5, 2.0, 0.1],
     ])
-    def test_values_outside_the_unit_interval_raise(self, argsort_calls, values):
+    def test_values_outside_the_unit_interval_raise(self, values):
+        # PValueSample's own check, as test_histogram_core.py's
+        # TestPValueSampleContract shows for any construction
         values = np.array(values)
         with pytest.raises(InvalidSample):
-            sim_harness._assemble(values, np.ones(values.size, dtype=bool))
-        assert argsort_calls == []
+            sim_harness._draw(values[:1], values[1:])
 
-    def test_lattice_tables_do_not_read_the_tie_order(self, monkeypatch):
+    def test_lattice_tables_equal_the_label_prefix_count(self, monkeypatch):
         # p-values on the lattice k / 100 hold runs of equal values with both
-        # labels, which the key sort and a stable argsort order apart; every
-        # procedure rejects some of them
-        key_sort = sim_harness._assemble
-        label_orders_differ = []
+        # labels, and every procedure rejects some of them.  The tables from
+        # by-value counts must equal those from a stable argsort carrying the
+        # labels, counted over the rejected prefix.
+        real_draw = sim_harness._draw
+        mixed_runs = []
 
-        def on_lattice(assemble):
-            def inner(values, nulls):
-                values = np.ceil(values * 100.0) / 100.0
-                label_orders_differ.append(
-                    not np.array_equal(key_sort(values, nulls)[1], _stable_assemble(values, nulls)[1]))
-                return assemble(values, nulls)
-            return inner
+        def lattice(null_values, alt_values):
+            return np.ceil(null_values * 100.0) / 100.0, np.ceil(alt_values * 100.0) / 100.0
+
+        def by_value(null_values, alt_values):
+            null_values, alt_values = lattice(null_values, alt_values)
+            mixed_runs.append(np.intersect1d(null_values, alt_values).size)
+            return real_draw(null_values, alt_values)
+
+        def stable_labelled(null_values, alt_values):
+            values = np.concatenate(lattice(null_values, alt_values))
+            labels = np.arange(values.size) < null_values.size
+            order = np.argsort(values, kind="stable")
+            return PValueSample(values=values[order], m=values.size), labels[order]
 
         spec = ScenarioSpec(kind="beta_tail", pi0=0.7, m=300, reps=6, seed=21, s=50.0)
-        tables = []
-        for assemble in (key_sort, _stable_assemble):
-            monkeypatch.setattr(sim_harness, "_assemble", on_lattice(assemble))
-            tables.append(summary_json_dict(run_scenario(spec, methods=("lpo", "storey"))))
-        assert all(label_orders_differ)
+        monkeypatch.setattr(sim_harness, "_draw", by_value)
+        tables = [summary_json_dict(run_scenario(spec, methods=("lpo", "storey")))]
+        monkeypatch.setattr(sim_harness, "_draw", stable_labelled)
+        monkeypatch.setattr(sim_harness, "error_metrics", label_prefix_metrics)
+        tables.append(summary_json_dict(run_scenario(spec, methods=("lpo", "storey"))))
+        assert len(mixed_runs) == spec.reps and all(mixed_runs)
         assert all(row["fdr_x100"] > 0.0 for row in tables[0]["procedures"].values())
         assert tables[0] == tables[1]
 
@@ -521,8 +504,11 @@ class TestScenarioFiles:
         flags = build_parser().parse_args(["simulate", "--kind", "beta_tail", "--s", "10",
                                            "--m", "200"])
         assert (spec.pi0, spec.reps, spec.seed, alpha) == (0.9, 1, 0, 0.15)
-        assert (spec.pi0, spec.m, spec.reps, spec.seed, alpha) == \
-            (flags.pi0, flags.m, flags.reps, flags.seed, flags.alpha)
+        assert (spec.pi0, spec.reps, spec.seed, alpha) == tuple(
+            sim_harness.SCENARIO_DEFAULTS[name] for name in ("pi0", "reps", "seed", "alpha"))
+        # an omitted flag is None, so that simulate can tell which were given,
+        # and simulate fills it from SCENARIO_DEFAULTS, the one copy
+        assert (flags.m, flags.pi0, flags.reps, flags.seed, flags.alpha) == (200, *[None] * 4)
 
     def test_unknown_kind_message(self, tmp_path):
         f = tmp_path / "s.conf"
