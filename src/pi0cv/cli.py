@@ -20,16 +20,7 @@ import sys
 from pathlib import Path
 
 from . import sim_harness
-from .errors import (
-    ConflictingFlags,
-    InputError,
-    InvalidAlpha,
-    InvalidDelta,
-    InvalidLambda,
-    InvalidMethod,
-    InvalidRange,
-    InvalidTheta,
-)
+from .errors import ConflictingFlags, InputError, InvalidRange, InvalidTheta, UsageError
 from .histogram_core import PartitionSpec, load_sample, partition_count, read_pvalue_file
 from .jsonio import dumps17
 from .lpo_risk import grid_diagnostics, partition_diagnostics
@@ -128,7 +119,7 @@ def cmd_simulate(args) -> int:
         spec, alpha = parse_scenario_file(args.scenario)
     else:
         if args.kind is None:
-            raise InputError("either --scenario or --kind is required")
+            raise UsageError("either --scenario or --kind is required")
         fields = {**sim_harness.SCENARIO_DEFAULTS, **{name: getattr(args, name) for name in given}}
         alpha = fields.pop("alpha")
         spec = sim_harness.ScenarioSpec(**fields)
@@ -149,18 +140,22 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_risk_debug(args) -> int:
+    # flags first, so a bad one is reported before a large input is parsed
     if args.limit is not None and args.limit < 0:
         raise InvalidRange(f"--limit must be >= 0, got {args.limit}")
-    _, sample = _load_input(args)
     if args.all:
         partition_count(args.nmin, args.nmax)   # rejects an invalid grid range
+    elif args.N is None or args.k is None or args.l is None:
+        raise UsageError("risk-debug needs --N, --k and --l, or --all")
+    else:
+        spec = PartitionSpec(args.N, args.k, args.l)
+    _, sample = _load_input(args)
+    if args.all:
         # records are scored a block at a time, and only until the limit
         records = itertools.islice(itertools.chain.from_iterable(
             grid_diagnostics(sample, n) for n in range(args.nmin, args.nmax + 1)), args.limit)
     else:
-        if args.N is None or args.k is None or args.l is None:
-            raise InputError("risk-debug needs --N, --k and --l, or --all")
-        records = [partition_diagnostics(sample, PartitionSpec(args.N, args.k, args.l))]
+        records = [partition_diagnostics(sample, spec)]
     _write("\n".join(dumps17(rec) for rec in records) + "\n", args.output)
     return EXIT_OK
 
@@ -231,8 +226,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidAlpha, InvalidTheta, InvalidDelta, InvalidLambda, InvalidMethod,
-            InvalidRange, ConflictingFlags) as exc:
+    except UsageError as exc:
         sys.stderr.write(dumps17({"error": type(exc).__name__, "message": str(exc)}) + "\n")
         return EXIT_USAGE
     except InputError as exc:

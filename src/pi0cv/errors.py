@@ -9,6 +9,10 @@ class InputError(Pi0cvError, ValueError):
     """Invalid user-supplied data."""
 
 
+class UsageError(InputError):
+    """A parameter or option the caller must change; ``pi0cv`` exits 2."""
+
+
 class EmptyInput(InputError):
     pass
 
@@ -34,7 +38,7 @@ class InvalidSample(InputError):
     """A ``PValueSample`` built against its contract."""
 
 
-class InvalidRange(InputError):
+class InvalidRange(UsageError):
     pass
 
 
@@ -46,27 +50,27 @@ class InvalidP(Pi0cvError, ValueError):
     pass
 
 
-class InvalidLambda(InputError):
+class InvalidLambda(UsageError):
     pass
 
 
-class InvalidAlpha(InputError):
+class InvalidAlpha(UsageError):
     pass
 
 
-class InvalidTheta(InputError):
+class InvalidTheta(UsageError):
     pass
 
 
-class InvalidDelta(InputError):
+class InvalidDelta(UsageError):
     pass
 
 
-class InvalidMethod(InputError):
+class InvalidMethod(UsageError):
     pass
 
 
-class ConflictingFlags(InputError):
+class ConflictingFlags(UsageError):
     """Command-line options that exclude each other."""
 
 

@@ -8,8 +8,9 @@ which also receives values equal to 1.
 
 from __future__ import annotations
 
+import bisect
 import csv
-import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -163,8 +164,9 @@ def read_pvalue_file(path: str | Path, column: str | None = None) -> np.ndarray:
 
     Plain-text mode (default): one value per line, blank lines and lines
     starting with '#' ignored; lines break at LF, CR and CR LF.  CSV mode
-    (``column`` given): values taken from the named column.  Parse errors,
-    bytes that are not UTF-8 included, cite the 1-based line number.
+    (``column`` given): values taken from the named column.  A leading
+    byte-order mark is dropped.  Parse errors, bytes that are not UTF-8
+    included, cite the 1-based line number of the file's first fault.
 
     Plain text is read once, about ``_BLOCK_CHARS`` of lines at a time, and
     each block is parsed by ``float``.  A block whose every line parses to a
@@ -174,28 +176,48 @@ def read_pvalue_file(path: str | Path, column: str | None = None) -> np.ndarray:
     ``float``, so both give the same values.
     """
     path = Path(path)
+    with _open_text(path) as fh:
+        if column is None:
+            return _read_plain(path, fh)
+        reader = csv.reader(itertools.chain.from_iterable(_checked_blocks(path, fh)))
+        header = next(reader, None)
+        if header is None or column not in header:
+            raise InputError(f"{path}: no column named {column!r}")
+        # as in csv.DictReader: a repeated name means its last field, and
+        # a row too short to reach it (a blank row too) reads as blank
+        at = len(header) - 1 - header[::-1].index(column)
+        # line_num is the physical line a record ends on, which counts
+        # the lines of quoted fields that span several and of blank rows
+        rows = ((reader.line_num, row[at]) for row in reader if len(row) > at)
+        return _parse_rows(path, rows, comments=False)
+
+
+def _open_text(path: str | Path):
+    """Open a UTF-8 input past its BOM, with each bad byte read as a lone surrogate."""
+    return open(path, newline="", encoding="utf-8-sig", errors="surrogateescape")
+
+
+def _check_utf8(path: str | Path, lineno: int, text: str) -> None:
+    """Raise the fault of a line that holds a byte that is not UTF-8."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return _read(path, fh, column)
-    except UnicodeDecodeError:
-        raise _not_utf8(path, column) from None
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
 
 
-def _read(path: Path, fh, column: str | None) -> np.ndarray:
-    """The values of an open text file, in either mode."""
-    if column is None:
-        return _read_plain(path, fh)
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None or column not in header:
-        raise InputError(f"{path}: no column named {column!r}")
-    # as in csv.DictReader: a repeated name means its last field, and
-    # a row too short to reach it (a blank row too) reads as blank
-    at = len(header) - 1 - header[::-1].index(column)
-    # line_num is the physical line a record ends on, which counts
-    # the lines of quoted fields that span several and of blank rows
-    rows = ((reader.line_num, row[at]) for row in reader if len(row) > at)
-    return _parse_rows(path, rows, comments=False)
+def _checked_blocks(path: Path, fh) -> Iterator[list[str]]:
+    """The file's lines for csv.reader, in blocks checked whole: a bad byte raises at its line."""
+    first = 1   # line number of the block's first line
+    while lines := fh.readlines(_BLOCK_CHARS):
+        try:
+            "".join(lines).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # the lines before the bad byte's go first, so that an earlier fault is cited
+            at = bisect.bisect(list(itertools.accumulate(map(len, lines))), exc.start)
+            yield lines[:at]
+            _check_utf8(path, first + at, lines[at])
+        yield lines
+        first += len(lines)
 
 
 def _read_plain(path: Path, fh) -> np.ndarray:
@@ -205,7 +227,7 @@ def _read_plain(path: Path, fh) -> np.ndarray:
     while lines := fh.readlines(_BLOCK_CHARS):
         try:
             values = np.fromiter(map(float, lines), float, len(lines))
-        except ValueError:
+        except ValueError:   # a bad byte's line too: float refuses a surrogate
             values = None
         # NaN fails both comparisons, and infinities the range
         if values is None or not np.all((values >= 0.0) & (values <= 1.0)):
@@ -217,9 +239,12 @@ def _read_plain(path: Path, fh) -> np.ndarray:
 
 def _parse_rows(path: Path, rows, comments: bool) -> np.ndarray:
     """Values of (line number, text) rows, skipping blank ones and, with
-    ``comments``, '#' lines: the only code that words errors."""
+    ``comments``, '#' lines: the only code that words errors, a bad byte's
+    first, so that it counts in a skipped line too."""
     out: list[float] = []
     for lineno, text in rows:
+        if not text.isascii():
+            _check_utf8(path, lineno, text)
         text = text.strip()
         if not text or (comments and text.startswith("#")):
             continue
@@ -235,34 +260,15 @@ def _parse_rows(path: Path, rows, comments: bool) -> np.ndarray:
     return np.asarray(out, dtype=float)
 
 
-def _not_utf8(path: Path, column: str | None) -> InputError:
-    """The error citing the file's first fault, when a byte is not UTF-8.
-
-    Decoding runs ahead of parsing, so the whole lines before the bad byte's
-    are read again, split as the reader splits them (LF, CR and CR LF), and
-    the error of a fault among them is returned; else the error cites the
-    bad byte's line."""
-    data = path.read_bytes()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[:exc.start]
-        cut = max(head.rfind(b"\n"), head.rfind(b"\r")) + 1
-        if cut:   # with no whole line, CSV mode would find no header to cite
-            try:
-                _read(path, io.StringIO(head[:cut].decode("utf-8"), newline=""), column)
-            except InputError as earlier:
-                return earlier
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return InputError(f"{path}:{line}: not valid UTF-8")
-    return InputError(f"{path}: not valid UTF-8")   # rewritten since the failed read
+def _check_grid_range(n_min: int, n_max: int) -> None:
+    if n_min < 1 or n_min > n_max:
+        raise InvalidRange(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
 
 
 def partition_count(n_min: int, n_max: int) -> int:
     """Closed-form size of the family: sum of N(N+1)/2 over the grid range,
     a difference of tetrahedral numbers b(b+1)(b+2)/6."""
-    if n_min < 1 or n_min > n_max:
-        raise InvalidRange(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
+    _check_grid_range(n_min, n_max)
     a, b = n_min, n_max
     return (b * (b + 1) * (b + 2) - (a - 1) * a * (a + 1)) // 6
 
@@ -274,8 +280,7 @@ def enumerate_partitions(n_min: int, n_max: int) -> Iterator[PartitionSpec]:
     cell (N, 0, N) for every N) are all yielded; selection tie-breaking
     downstream resolves them deterministically.
     """
-    if n_min < 1 or n_min > n_max:
-        raise InvalidRange(f"need 1 <= n_min <= n_max, got ({n_min}, {n_max})")
+    _check_grid_range(n_min, n_max)
     for n in range(n_min, n_max + 1):
         for k in range(n):
             for l in range(k + 1, n + 1):

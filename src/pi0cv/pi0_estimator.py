@@ -66,8 +66,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import InvalidLambda, InvalidMethod, InvalidRange
-from .histogram_core import PartitionSpec, PValueSample
+from .errors import InvalidLambda, InvalidMethod
+from .histogram_core import PartitionSpec, PValueSample, _check_grid_range
 from .lpo_risk import _grid_sums, _mse_polynomial, _risk_from_sums, _score, selection_mse
 
 __all__ = [
@@ -99,8 +99,7 @@ class EstimatorConfig:
     se_band: float = DEFAULT_SE_BAND
 
     def __post_init__(self):
-        if self.n_min < 1 or self.n_min > self.n_max:
-            raise InvalidRange(f"need 1 <= n_min <= n_max, got ({self.n_min}, {self.n_max})")
+        _check_grid_range(self.n_min, self.n_max)
         if self.method not in ("lpo", "loo", "ss", "storey"):
             raise InvalidMethod(f"unknown method {self.method!r}")
         if not self.se_band >= 0:      # in this form a NaN fails too

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, InvalidMethod
-from .histogram_core import PValueSample
+from .histogram_core import PValueSample, _check_utf8, _open_text
 from .jsonio import dumps17
 from .mtp import bh_procedure, check_alpha, check_delta, error_metrics, plugin_mtp
 from .pi0_estimator import EstimatorConfig, estimate_pi0
@@ -380,29 +379,27 @@ _SCENARIO_KEYS = ("kind", *SCENARIO_TYPES)
 def parse_scenario_file(path: str | Path) -> tuple[ScenarioSpec, float]:
     """Flat key = value scenario format in UTF-8; '#' comments; returns (spec, alpha).
 
-    An unknown or repeated key, a value that does not parse as its key's type,
-    or a byte that is not UTF-8, raises InputError citing the line."""
-    content = Path(path).read_bytes().decode("utf-8", "surrogateescape")
+    A leading byte-order mark is dropped.  An unknown or repeated key, a value
+    that does not parse as its key's type, or a byte that is not UTF-8, raises
+    InputError citing the line; of several, the first line's."""
     fields: dict[str, tuple[str, int]] = {}
-    for lineno, line in enumerate(io.StringIO(content, newline=None), start=1):
-        try:
-            line.encode("utf-8")    # a byte that is not UTF-8 decoded to a lone surrogate
-        except UnicodeEncodeError:
-            raise InputError(f"{path}:{lineno}: not valid UTF-8") from None
-        text = line.split("#", 1)[0].strip()
-        if not text:
-            continue
-        if "=" not in text:
-            raise InputError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = text.partition("=")
-        key = key.strip()
-        if key not in _SCENARIO_KEYS:
-            raise InputError(f"{path}:{lineno}: unknown key {key!r}; "
-                             f"valid keys: {', '.join(_SCENARIO_KEYS)}")
-        if key in fields:
-            raise InputError(f"{path}:{lineno}: duplicate key {key!r} "
-                             f"(first on line {fields[key][1]})")
-        fields[key] = (value.strip(), lineno)
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            _check_utf8(path, lineno, line)
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise InputError(f"{path}:{lineno}: expected 'key = value'")
+            key, _, value = text.partition("=")
+            key = key.strip()
+            if key not in _SCENARIO_KEYS:
+                raise InputError(f"{path}:{lineno}: unknown key {key!r}; "
+                                 f"valid keys: {', '.join(_SCENARIO_KEYS)}")
+            if key in fields:
+                raise InputError(f"{path}:{lineno}: duplicate key {key!r} "
+                                 f"(first on line {fields[key][1]})")
+            fields[key] = (value.strip(), lineno)
     if "kind" not in fields:
         raise InputError(f"{path}: missing 'kind'; valid kinds: {', '.join(KINDS)}")
 

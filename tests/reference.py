@@ -14,12 +14,16 @@ None of this is on the product path.  It holds:
   error counts as the package made them when each value carried a null label:
   ``draw_sample``'s values and null values, and ``error_metrics``'s counts by
   value, are compared against them;
+* ``line_by_line_outcome``, what ``read_pvalue_file`` must give for a file
+  whose CSV records are one line each, from the raw bytes split at line ends
+  and each line decoded alone;
 * small helpers: ``cell_edges``, ``histogram_heights``, ``compositions``,
   ``sample_with_counts``, ``consistency_probe`` and ``multiset_difference``.
 """
 
 import itertools
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -301,3 +305,46 @@ def full_family(sample, tab, adaptive_p):
     return SimpleNamespace(cc=cc, p_hat=p_hat, risk=_risk_from_sums(s11, s21, m, p_hat),
                            mse=selection_mse(coeffs, p_hat),
                            loo=_risk_from_sums(s11, s21, m, 1.0))
+
+
+def line_by_line_outcome(path, data, column=None):
+    """``read_pvalue_file``'s values as float.hex, or its first fault's type
+    and message, for ``data`` read from ``path``.
+
+    The bytes are split at LF, CR and CR LF, and each line is decoded as
+    UTF-8 alone, so a bad byte is a fault of its own line.  Plain text skips
+    blank and '#' lines.  With ``column``, every line is one CSV record of
+    unquoted comma-separated fields, the first the header; a record too short
+    to reach the column, or blank there, is skipped."""
+    lines = re.split(rb"\r\n|\r|\n", data.removeprefix(b"\xef\xbb\xbf"))
+    if lines[-1] == b"":
+        lines.pop()   # the final line break ends a line, not begins one
+    out, at = [], None
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return "InputError", f"{path}:{lineno}: not valid UTF-8"
+        if column is not None:
+            fields = text.split(",") if text else []
+            if at is None:
+                if column not in fields:
+                    return "InputError", f"{path}: no column named {column!r}"
+                at = len(fields) - 1 - fields[::-1].index(column)
+                continue
+            text = fields[at] if len(fields) > at else ""
+        text = text.strip()
+        if not text or (column is None and text.startswith("#")):
+            continue
+        try:
+            val = float(text)
+        except ValueError:
+            return "InputError", f"{path}:{lineno}: not a number: {text!r}"
+        if not math.isfinite(val):
+            return "InputError", f"{path}:{lineno}: non-finite value"
+        if not 0.0 <= val <= 1.0:
+            return "InputError", f"{path}:{lineno}: p-value out of [0, 1]: {val!r}"
+        out.append(val.hex())
+    if column is not None and at is None:
+        return "InputError", f"{path}: no column named {column!r}"
+    return out

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from pi0cv import errors
 from pi0cv.cli import main
 from pi0cv.histogram_core import load_sample
 from pi0cv.jsonio import dumps17
@@ -77,6 +78,18 @@ class TestEstimateCommand:
         assert code == 3
         assert json.loads(capsys.readouterr().err) == {
             "error": "InputError", "message": f"{f}:{line}: not valid UTF-8"}
+
+    @pytest.mark.parametrize("data, column", [
+        (b"0.4\n0.2\n0.9\n", None),
+        (b"pval,gene\n0.4,g1\n0.2,g2\n0.9,g3\n", "pval"),
+    ], ids=["plain", "csv_first_column"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, capsys, data, column):
+        f, g = tmp_path / "p.txt", tmp_path / "bom.txt"
+        f.write_bytes(data)
+        g.write_bytes(b"\xef\xbb\xbf" + data)
+        flags = ["--method", "storey"] + (["--column", column] if column else [])
+        assert run_json(capsys, ["estimate", "--input", str(g), *flags]) == run_json(
+            capsys, ["estimate", "--input", str(f), *flags])
 
     def test_ss_method_delegates_exactly(self, capsys, fixture_file):
         code, payload = run_json(capsys, ["estimate", "--input", fixture_file,
@@ -335,6 +348,24 @@ class TestSimulateCommand:
         assert json.loads(captured.err) == {"error": "InputError",
                                             "message": f"{conf}:{line}: not valid UTF-8"}
 
+    def test_scenario_file_with_byte_order_mark(self, tmp_path, capsys):
+        conf = tmp_path / "s.conf"
+        text = b"kind = beta_tail\ns = 10\nm = 60\n"
+        outputs = []
+        for data in (text, b"\xef\xbb\xbf" + text):
+            conf.write_bytes(data)
+            assert main(["simulate", "--scenario", str(conf), "--methods", "storey"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_neither_scenario_nor_kind_is_usage_error(self, capsys):
+        code = main(["simulate", "--m", "50"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "UsageError",
+                                            "message": "either --scenario or --kind is required"}
+
     def test_file_and_flags_share_defaults(self, tmp_path, capsys):
         # pi0, reps, seed and alpha omitted from both
         conf = tmp_path / "s.conf"
@@ -582,9 +613,33 @@ class TestRiskDebugCommand:
             dumps17(partition_diagnostics(sample, PartitionSpec(5000, k, l)))
             for k, l in ((1, 4999), (0, 1))]
 
+    @pytest.mark.parametrize("flags, error", [
+        ([], "UsageError"),
+        (["--N", "3", "--k", "3", "--l", "2"], "InvalidRange"),
+        (["--all", "--nmin", "5", "--nmax", "3"], "InvalidRange"),
+    ], ids=["no_spec", "bad_spec", "bad_grid_range"])
+    def test_flags_are_checked_before_input_is_read(self, capsys, tmp_path, fixture_file,
+                                                    flags, error):
+        # a missing input would exit 3, so exit 2 shows the flags were checked first
+        for path in (fixture_file, str(tmp_path / "nope.txt")):
+            code = main(["risk-debug", "--input", path, *flags])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"] == error
+
     def test_requires_spec_or_all(self, capsys, fixture_file):
         code = main(["risk-debug", "--input", fixture_file])
-        assert code == 3
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "UsageError", "message": "risk-debug needs --N, --k and --l, or --all"}
+
+
+@pytest.mark.parametrize("name", ["InvalidAlpha", "InvalidTheta", "InvalidDelta", "InvalidLambda",
+                                  "InvalidMethod", "InvalidRange", "ConflictingFlags"])
+def test_usage_errors_share_one_class(name):
+    # main maps UsageError to exit 2; every other InputError exits 3
+    assert issubclass(getattr(errors, name), errors.UsageError)
 
 
 class TestUniformSamplingClaim:

@@ -1,6 +1,7 @@
 import csv
 import gzip
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from pi0cv.histogram_core import (
     read_pvalue_file,
 )
 
-from reference import cell_edges, histogram_heights
+from reference import cell_edges, histogram_heights, line_by_line_outcome
 
 
 class TestLoadSample:
@@ -136,8 +137,10 @@ class TestEnumeratePartitions:
     def test_invalid_ranges(self):
         with pytest.raises(InvalidRange):
             list(enumerate_partitions(0, 5))
-        with pytest.raises(InvalidRange):
+        with pytest.raises(InvalidRange, match=r"^need 1 <= n_min <= n_max, got \(5, 3\)$"):
             list(enumerate_partitions(5, 3))
+        with pytest.raises(InvalidRange, match=r"^need 1 <= n_min <= n_max, got \(5, 3\)$"):
+            partition_count(5, 3)
 
 
 class TestGridPrefix:
@@ -381,6 +384,7 @@ PLAIN_TEXT_CORPUS = {
     "infinity": b"Infinity\n",
     "fullwidth_digit": "\uff10.5\n0.2\n".encode(),
     "bom": b"\xef\xbb\xbf0.5\n0.2\n",
+    "later_bom": b"0.5\n\xef\xbb\xbf0.2\n",
     "nul": b"0.5\x00\n0.2\n",
     "quoted": b'"0.5"\n',
     "two_values_space": b"0.1 0.2\n",
@@ -398,8 +402,9 @@ PLAIN_TEXT_CORPUS = {
 
 def _dictreader_outcome(path, column):
     """CSV mode as ``csv.DictReader`` reads it, values as float.hex or the
-    error's type and message: the reference for the reader's own loop."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    error's type and message: the reference for the reader's own loop.  It
+    decodes as the reader does, past a leading byte-order mark."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or column not in reader.fieldnames:
             return "InputError", f"{path}: no column named {column!r}"
@@ -439,6 +444,7 @@ CSV_CORPUS = {
     "empty": b"",
     "blank_first_line": b"\ngene,pval\ng1,0.4\n",
     "bom": b"\xef\xbb\xbfpval\n0.4\n",
+    "later_bom": b"pval\n0.4\n\xef\xbb\xbf0.5\n",
     "no_such_column": b"a,b\n1,2\n",
 }
 
@@ -573,6 +579,85 @@ class TestBulkParse:
         with pytest.raises(InputError) as info:
             read_pvalue_file(f, column="pval")
         assert str(info.value) == f"{f}:1: not valid UTF-8"
+
+    def test_byte_order_mark_starts_the_file_only(self, tmp_path):
+        f = tmp_path / "p.txt"
+        f.write_bytes(b"\xef\xbb\xbf0.5\n0.2\n")
+        assert read_pvalue_file(f).tolist() == [0.5, 0.2]
+        f.write_bytes(b"0.5\n\xef\xbb\xbf0.2\n")
+        assert _outcome(f) == ("InputError", f"{f}:2: not a number: '\\ufeff0.2'")
+        f.write_bytes(b"\xef\xbb\xbfpval,gene\n0.4,g1\n")
+        assert read_pvalue_file(f, column="pval").tolist() == [0.4]
+
+    @pytest.mark.parametrize("column", [None, "pval"])
+    def test_late_bad_byte_is_read_once(self, tmp_path, monkeypatch, column):
+        # the lines ahead of the bad byte are parsed once, and the file is
+        # neither read again nor reparsed to find an earlier fault
+        def read_again(self):
+            raise AssertionError(f"{self} read a second time")
+
+        monkeypatch.setattr(Path, "read_bytes", read_again)
+        plain_reads = []
+        read_plain = histogram_core._read_plain
+        monkeypatch.setattr(histogram_core, "_read_plain",
+                            lambda path, fh: plain_reads.append(path) or read_plain(path, fh))
+        seen = []
+        parse = histogram_core._parse_rows
+        monkeypatch.setattr(histogram_core, "_parse_rows", lambda path, rows, comments: parse(
+            path, (seen.append(row) or row for row in rows), comments))
+        f = tmp_path / "p.txt"
+        head = b"pval\n" if column else b""
+        f.write_bytes(head + b"0.25\n" * 99999 + b"0.5\xe9\n")
+        bad = 100000 + len(head.splitlines())
+        with pytest.raises(InputError) as info:
+            read_pvalue_file(f, column=column)
+        assert str(info.value) == f"{f}:{bad}: not valid UTF-8"
+        if column:
+            assert [lineno for lineno, _ in seen] == list(range(2, bad))
+        else:
+            assert plain_reads == [f]
+            assert seen[-1] == (bad, "0.5\udce9\n")
+            assert len(seen) <= histogram_core._BLOCK_CHARS // 5 + 1
+
+    @pytest.mark.parametrize("block", [1, 4, 1 << 16])
+    @pytest.mark.parametrize("column", [None, "pval"])
+    def test_first_fault_by_line_matches_the_line_by_line_reference(
+            self, tmp_path, monkeypatch, column, block):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        monkeypatch.setattr(histogram_core, "_BLOCK_CHARS", block)
+        token = st.sampled_from(["0.25", "1", "0", " 0.5 ", "abc", "1.5", "nan",
+                                 "#", "# c", " ", ""])
+        bad_byte = st.tuples(st.integers(0, 99), st.integers(0, 99),
+                             st.sampled_from([b"\x80", b"\xc3", b"\xe9", b"\xff"]))
+        case = st.tuples(st.lists(token, max_size=8), st.sampled_from([b"\n", b"\r\n", b"\r"]),
+                         st.booleans(), st.none() | bad_byte)
+        f = tmp_path / "p.txt"
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(case)
+        def check(case):
+            tokens, eol, final, bad = case
+            if column:
+                # a blank token makes a blank record, any other a two-field one
+                lines = ["gene,pval"] + [f"g{i},{t}" if t else "" for i, t in enumerate(tokens)]
+            else:
+                lines = tokens
+            lines = [line.encode() for line in lines]
+            if bad and lines:
+                at, pos, byte = bad
+                line = lines[at % len(lines)]
+                pos %= len(line) + 1
+                lines[at % len(lines)] = line[:pos] + byte + line[pos:]
+            data = eol.join(lines) + (eol if final else b"")
+            f.write_bytes(data)
+            try:
+                got = [v.hex() for v in read_pvalue_file(f, column=column).tolist()]
+            except InputError as exc:
+                got = type(exc).__name__, str(exc)
+            assert got == line_by_line_outcome(f, data, column)
+
+        check()
 
     def test_missing_file_is_not_read_from_a_compressed_neighbour(self, tmp_path):
         f = tmp_path / "p.txt"

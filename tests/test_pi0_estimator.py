@@ -671,7 +671,7 @@ class TestConsistencyProbe:
 
 class TestConfigAndJson:
     def test_bad_range(self):
-        with pytest.raises(InvalidRange):
+        with pytest.raises(InvalidRange, match=r"^need 1 <= n_min <= n_max, got \(5, 3\)$"):
             EstimatorConfig(n_min=5, n_max=3)
 
     def test_bad_method(self):

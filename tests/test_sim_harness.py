@@ -535,6 +535,32 @@ class TestScenarioFiles:
         with pytest.raises(InputError, match="^s must be finite, got nan$"):
             parse_scenario_file(f)
 
+    def test_bad_byte_after_an_unknown_key_cites_the_key(self, tmp_path):
+        f = tmp_path / "s.conf"
+        f.write_bytes(b"kind = beta_tail\nsize = 10\ns = 1\xe90\n")
+        with pytest.raises(InputError) as info:
+            parse_scenario_file(f)
+        assert str(info.value).startswith(f"{f}:2: unknown key 'size'; valid keys: kind, ")
+
+    def test_bad_byte_in_a_comment(self, tmp_path):
+        f = tmp_path / "s.conf"
+        for data in (b"kind = beta_tail\ns = 10  # caf\xe9\nm = 60\n",
+                     b"kind = beta_tail\r\n#\xff\r\nm = 60\r\n"):
+            f.write_bytes(data)
+            with pytest.raises(InputError) as info:
+                parse_scenario_file(f)
+            assert str(info.value) == f"{f}:2: not valid UTF-8"
+
+    def test_byte_order_mark_starts_the_file_only(self, tmp_path):
+        f = tmp_path / "s.conf"
+        f.write_bytes(b"\xef\xbb\xbfkind = beta_tail\ns = 10\nm = 60\n")
+        spec, _ = parse_scenario_file(f)
+        assert (spec.kind, spec.s, spec.m) == ("beta_tail", 10.0, 60)
+        f.write_bytes(b"kind = beta_tail\n\xef\xbb\xbfs = 10\n")
+        with pytest.raises(InputError) as info:
+            parse_scenario_file(f)
+        assert str(info.value).startswith(f"{f}:2: unknown key '\\ufeffs'; ")
+
     @pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.conf")), ids=lambda p: p.name)
     def test_every_shipped_scenario_is_a_valid_spec(self, path):
         spec, alpha = parse_scenario_file(path)
