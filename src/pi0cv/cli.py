@@ -20,7 +20,8 @@ import sys
 from pathlib import Path
 
 from . import sim_harness
-from .errors import ConflictingFlags, InputError, InvalidRange, InvalidTheta, UsageError
+from .errors import (ConflictingFlags, DegenerateSelection, InputError, InvalidRange,
+                     InvalidTheta, UsageError)
 from .histogram_core import PartitionSpec, load_sample, partition_count, read_pvalue_file
 from .jsonio import dumps17
 from .lpo_risk import grid_diagnostics, partition_diagnostics
@@ -70,13 +71,9 @@ def _estimator_config(args) -> EstimatorConfig:
 
 
 def cmd_estimate(args) -> int:
+    cfg = _estimator_config(args)   # flags first, as in cmd_mtp
     _, sample = _load_input(args)
-    est = estimate_pi0(sample, _estimator_config(args))
-    if est.degenerate:
-        _emit({"error": "degenerate selection", **estimate_json_dict(est)},
-              args.format, args.output)
-        return EXIT_DEGENERATE
-    _emit(estimate_json_dict(est), args.format, args.output)
+    _emit(estimate_json_dict(estimate_pi0(sample, cfg)), args.format, args.output)
     return EXIT_OK
 
 
@@ -86,15 +83,9 @@ def cmd_mtp(args) -> int:
     check_delta(args.delta)
     if args.pi0 is not None and not 0.0 < args.pi0 <= 1.0:
         raise InvalidTheta(f"--pi0 must lie in (0, 1], got {args.pi0}")
+    cfg = _estimator_config(args)
     raw, sample = _load_input(args)
-    if args.pi0 is not None:
-        pi0 = args.pi0
-    else:
-        est = estimate_pi0(sample, _estimator_config(args))
-        if est.degenerate:
-            _emit({"error": "degenerate selection"}, args.format, args.output)
-            return EXIT_DEGENERATE
-        pi0 = est
+    pi0 = args.pi0 if args.pi0 is not None else estimate_pi0(sample, cfg)
     result = plugin_mtp(sample, args.alpha, pi0, args.delta)
     mask = rejected_mask(raw, result)
     base = 1 if args.one_based else 0
@@ -222,19 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:
-        sys.stderr.write(dumps17({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return EXIT_USAGE
-    except InputError as exc:
-        sys.stderr.write(dumps17({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-        return EXIT_DATA
-    except OSError as exc:
-        sys.stderr.write(dumps17({"error": "IOError", "message": str(exc)}) + "\n")
-        return EXIT_DATA
+        code, error = EXIT_USAGE, exc
+    except (InputError, OSError) as exc:
+        code, error = EXIT_DATA, exc
+    except DegenerateSelection as exc:
+        code, error = EXIT_DEGENERATE, exc
+    name = "IOError" if isinstance(error, OSError) else type(error).__name__
+    sys.stderr.write(dumps17({"error": name, "message": str(error)}) + "\n")
+    return code
 
 
 if __name__ == "__main__":

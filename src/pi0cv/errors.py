@@ -76,3 +76,7 @@ class ConflictingFlags(UsageError):
 
 class LengthMismatch(Pi0cvError, ValueError):
     pass
+
+
+class DegenerateSelection(Pi0cvError):
+    """No partition has a finite risk, so there is no estimate; ``pi0cv`` exits 4."""

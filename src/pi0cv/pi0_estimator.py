@@ -66,8 +66,8 @@ from functools import cache, partial
 
 import numpy as np
 
-from .errors import InvalidLambda, InvalidMethod
-from .histogram_core import PartitionSpec, PValueSample, _check_grid_range
+from .errors import DegenerateSelection, InvalidLambda, InvalidMethod
+from .histogram_core import PValueSample, _check_grid_range
 from .lpo_risk import _grid_sums, _mse_polynomial, _risk_from_sums, _score, selection_mse
 
 __all__ = [
@@ -90,6 +90,11 @@ DEFAULT_SE_BAND = 0.25
 _BLOCK = 12288
 
 
+def _check_lambda(lam: float) -> None:
+    if not 0.0 <= lam < 1.0:
+        raise InvalidLambda(f"lambda must lie in [0, 1), got {lam}")
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     n_min: int = DEFAULT_N_MIN
@@ -100,6 +105,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         _check_grid_range(self.n_min, self.n_max)
+        _check_lambda(self.lam)
         if self.method not in ("lpo", "loo", "ss", "storey"):
             raise InvalidMethod(f"unknown method {self.method!r}")
         if not self.se_band >= 0:      # in this form a NaN fails too
@@ -117,7 +123,6 @@ class Pi0Estimate:
     n_hat: int | None
     p_hat: int | None
     risk: float | None
-    degenerate: bool = False
 
 
 class _SearchTables:
@@ -198,7 +203,9 @@ def _rescore(method: str, m: int, sums, tab: _SearchTables, j: int):
 
 
 def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig()) -> Pi0Estimate:
-    """Run the full partition search and return the selected estimate."""
+    """Run the full partition search and return the selected estimate.
+
+    Raises DegenerateSelection when no partition has a finite risk."""
     if cfg.method in ("ss", "storey"):
         lam = 0.5 if cfg.method == "storey" else cfg.lam
         return ss_estimator(sample, lam, method=cfg.method)
@@ -211,10 +218,8 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
     if not np.isfinite(r1[j]):          # a NaN or -inf, or all +inf
         finite = np.isfinite(r1)
         if not finite.any():
-            spec = PartitionSpec(cfg.n_min, 0, cfg.n_min)
-            return Pi0Estimate(method=cfg.method, m=m, pi0_raw=1.0, pi0=1.0,
-                               lambda_hat=spec.lam, mu_hat=spec.mu, n_hat=spec.n,
-                               p_hat=1, risk=None, degenerate=True)
+            raise DegenerateSelection(f"no partition with N in [{cfg.n_min}, {cfg.n_max}] "
+                                      "has a finite risk")
         r1 = np.where(finite, r1, np.inf)
         j = int(r1.argmin())
 
@@ -250,8 +255,7 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
 
 def ss_estimator(sample: PValueSample, lam: float, method: str = "ss") -> Pi0Estimate:
     """Tail-ratio estimator: #{P_i in [lam, 1]} / (m (1 - lam))."""
-    if not 0.0 <= lam < 1.0:
-        raise InvalidLambda(f"lambda must lie in [0, 1), got {lam}")
+    _check_lambda(lam)
     m = sample.m
     count = m - int(np.searchsorted(sample.values, lam, side="left"))
     raw = count / (m * (1.0 - lam))

@@ -1,5 +1,8 @@
+import contextlib
 import csv
 import gzip
+import io
+import itertools
 import json
 
 import numpy as np
@@ -143,16 +146,31 @@ class TestDegenerateSelection:
 
         monkeypatch.setattr(mod, "_scan", broken_scan)
 
+    @staticmethod
+    def assert_exit_4(capsys, argv):
+        # errors are one JSON line on stderr whatever --format asks for
+        for fmt in ("json", "csv"):
+            code = main([*argv, "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 4
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert json.loads(captured.err) == {
+                "error": "DegenerateSelection",
+                "message": "no partition with N in [1, 100] has a finite risk"}
+
     def test_estimate_exits_4(self, capsys, fixture_file, nan_scan):
-        code, payload = run_json(capsys, ["estimate", "--input", fixture_file])
-        assert code == 4
-        assert payload["error"] == "degenerate selection"
-        assert payload["pi0"] == 1.0
+        self.assert_exit_4(capsys, ["estimate", "--input", fixture_file])
 
     def test_mtp_exits_4(self, capsys, fixture_file, nan_scan):
-        code, payload = run_json(capsys, ["mtp", "--input", fixture_file])
+        self.assert_exit_4(capsys, ["mtp", "--input", fixture_file])
+
+    def test_simulate_exits_4_with_its_warning(self, capsys, nan_scan):
+        code = main(TestSimulateCommand.ARGS[:-1] + ["lpo"])
+        captured = capsys.readouterr()
         assert code == 4
-        assert payload == {"error": "degenerate selection"}
+        assert captured.err == "warning: table contains failed replicates\n"
+        assert captured.out.startswith("method,bias_x100,std_x100,mse_x100\nlpo,nan,nan,nan\n")
 
 
 class TestMtpCommand:
@@ -635,6 +653,26 @@ class TestRiskDebugCommand:
             "error": "UsageError", "message": "risk-debug needs --N, --k and --l, or --all"}
 
 
+@pytest.mark.parametrize("command", ["estimate", "mtp"])
+@pytest.mark.parametrize("flags, error", [
+    (["--nmin", "5", "--nmax", "3"], "InvalidRange"),
+    (["--method", "ss", "--lambda", "1.5"], "InvalidLambda"),
+    (["--lambda", "-0.1"], "InvalidLambda"),
+    (["--method", "storey", "--lambda", "nan"], "InvalidLambda"),
+], ids=["bad_grid_range", "ss_lambda", "lpo_lambda", "storey_lambda"])
+def test_estimator_flags_are_checked_before_input_is_read(capsys, tmp_path, fixture_file,
+                                                          command, flags, error):
+    # a missing input would exit 3, so exit 2 shows the flags were checked first;
+    # mtp checks them even when --pi0 leaves the estimator unused
+    extra = [[], ["--pi0", "0.5"]] if command == "mtp" else [[]]
+    for path, pi0 in itertools.product((fixture_file, str(tmp_path / "nope.txt")), extra):
+        code = main([command, "--input", path, *flags, *pi0])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == error
+
+
 @pytest.mark.parametrize("name", ["InvalidAlpha", "InvalidTheta", "InvalidDelta", "InvalidLambda",
                                   "InvalidMethod", "InvalidRange", "ConflictingFlags"])
 def test_usage_errors_share_one_class(name):
@@ -655,3 +693,100 @@ class TestUniformSamplingClaim:
             if 0.9 <= payload["pi0"] <= 1.0:
                 hits += 1
         assert hits >= 19  # >= 95% of seeds
+
+
+class TestRandomArgv:
+    """Random argv over the four subcommands and small valid, faulty and
+    missing files: every exit is 0, 2, 3 or 4; argparse's usage error (exit 2)
+    prints nothing on stdout, and every other failure is one JSON line on
+    stderr with nothing on stdout."""
+
+    GOOD = {
+        "ok.txt": "".join(f"{v!r}\n" for v in np.random.default_rng(7).random(200)),
+        "small.txt": "".join(f"{v}\n" for v in FIXTURE),
+        "ends.txt": "0\n" * 30 + "1\n" * 30,
+        "ok.csv": "gene,pval\n" + "".join(f"g{i},{v}\n" for i, v in enumerate(FIXTURE * 4)),
+    }
+    FAULTY = {
+        "word.txt": "0.1\nabc\n0.3\n",
+        "above.txt": "0.1\n1.5\n",
+        "nan.txt": "0.1\nnan\n0.3\n",
+        "one.txt": "0.5\n",
+        "empty.txt": "",
+        "bad_byte.txt": "0.1\n\udce9\n",
+    }
+    SCENARIOS = {"ok.conf": "kind = beta_tail\ns = 10\nm = 60\nreps = 2\n",
+                 "bad.conf": "kind = beta_tail\ncolour = red\n"}
+    KINDS = [["--kind", "beta_tail", "--s", "10"],
+             ["--kind", "trunc_beta", "--s", "10", "--lambda-star", "0.5"],
+             ["--kind", "ushape", "--a", "-1", "--b", "1", "--sd", "0.5"]]
+    # each flag takes mostly valid values; "x" is one that argparse refuses
+    ESTIMATOR = {"--method": ["lpo", "loo", "ss", "storey", "x"],
+                 "--lambda": ["0.5", "0", "0.9", "1"],
+                 "--nmin": ["1", "2", "5", "11"],
+                 "--column": ["pval", "nope"],
+                 "--format": ["json", "csv"]}
+    FLAGS = {
+        "estimate": ESTIMATOR,
+        "mtp": {**ESTIMATOR, "--alpha": ["0.15", "0.5", "0"], "--delta": ["0", "0.05", "-0.1"],
+                "--pi0": ["1", "0.5", "0"], "--one-based": None},
+        "risk-debug": {"--nmin": ESTIMATOR["--nmin"], "--column": ESTIMATOR["--column"]},
+        "simulate": {"--pi0": ["0.5", "0.9", "1.5"], "--reps": ["1", "2", "0"],
+                     "--seed": ["0", "3", "-1"], "--alpha": ["0.15", "0.3", "2"],
+                     "--s": ["10", "0.5", "nan"], "--lambda-star": ["0.2", "2"],
+                     "--delta": ["0", "0.1", "-0.1"], "--kind": ["beta_tail", "x"],
+                     "--methods": ["storey", "lpo", "loo,ss", "storey,x", ","]},
+    }
+
+    def test_exit_codes_and_error_lines(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        for name, text in {**self.GOOD, **self.FAULTY, **self.SCENARIOS}.items():
+            (tmp_path / name).write_text(text, errors="surrogateescape")
+
+        @st.composite
+        def argv(draw):
+            def pick(values):
+                return draw(st.sampled_from(list(values)))
+
+            command = pick(self.FLAGS)
+            # the bounds keep each run small: m <= 200, --nmax <= 10, --limit always
+            if command == "simulate":
+                head = pick([["--scenario", str(tmp_path / pick([*self.SCENARIOS, "missing"]))],
+                             [*pick(self.KINDS), "--m", pick(["2", "50", "200", "1", "x"])]])
+            else:
+                # half the draws read a good file; "." is a directory
+                name = pick([pick(self.GOOD), pick([*self.FAULTY, "missing.txt", "."])])
+                head = ["--input", str(tmp_path / name), "--nmax", pick(["1", "3", "10", "0"])]
+            if command == "risk-debug":
+                head += pick([["--all"], ["--N", pick(["1", "3", "10", "0"]), "--k",
+                                          pick(["0", "1", "3"]), "--l", pick(["1", "3", "11"])]])
+                head += ["--limit", pick(["0", "5", "-1"])]
+            flags = self.FLAGS[command]
+            argv = [command, *head]
+            for flag in draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3)):
+                argv += [flag] if flags[flag] is None else [flag, pick(flags[flag])]
+            return argv
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(argv())
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code, usage = exc.code, True
+                else:
+                    usage = False
+            assert out.getvalue() == "" or code == 0
+            if usage:
+                assert code == 2
+            elif code == 0:
+                assert err.getvalue() == ""
+            else:
+                assert code in (2, 3, 4)
+                assert err.getvalue().count("\n") == 1
+                assert set(json.loads(err.getvalue())) == {"error", "message"}
+
+        check()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pi0cv.errors import InvalidLambda, InvalidRange
+from pi0cv.errors import DegenerateSelection, InvalidLambda, InvalidRange
 from pi0cv.histogram_core import PartitionSpec, bin_counts, grid_prefix, load_sample
 from pi0cv.lpo_risk import lpo_risk, moment_sums, mse_coefficients, select_p
 from pi0cv.pi0_estimator import (
@@ -62,17 +62,16 @@ class TestEstimateFixtures:
         est = estimate_pi0(sample)
         assert abs(est.pi0 - 0.9) <= 3 * 0.025
 
-    def test_degenerate_scan_falls_back_to_single_cell(self, monkeypatch):
+    def test_degenerate_scan_raises(self, monkeypatch):
         import pi0cv.pi0_estimator as mod
 
         def broken_scan(sample, tab):
             return np.full(tab.N.size, np.nan), None
 
         monkeypatch.setattr(mod, "_scan", broken_scan)
-        est = estimate_pi0(load_sample([0.2, 0.4, 0.6]), EstimatorConfig(n_max=3))
-        assert est.degenerate
-        assert est.pi0 == 1.0
-        assert (est.n_hat, est.lambda_hat, est.mu_hat) == (1, 0.0, 1.0)
+        with pytest.raises(DegenerateSelection,
+                           match=r"^no partition with N in \[1, 3\] has a finite risk$"):
+            estimate_pi0(load_sample([0.2, 0.4, 0.6]), EstimatorConfig(n_max=3))
 
 
 class TestEstimateProperties:

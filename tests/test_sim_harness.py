@@ -469,6 +469,20 @@ class TestRunScenario:
         assert len(failed) == 1
         assert "synthetic failure" in failed[0].error
 
+    def test_degenerate_selection_fails_its_replicate(self, monkeypatch):
+        import pi0cv.pi0_estimator as est
+
+        def nan_scan(sample, tab):
+            return np.full(tab.N.size, np.nan), None
+
+        monkeypatch.setattr(est, "_scan", nan_scan)
+        table = run_scenario(_tiny_spec(reps=2), methods=("storey", "lpo"))
+        assert not table.valid
+        for rep in table.replicates:
+            assert rep.failed
+            assert rep.error.startswith("DegenerateSelection: ")
+        assert math.isnan(table.methods["lpo"].bias_x100)
+
     @pytest.mark.parametrize("s,pi0,seed", [(10.0, 0.5, 31), (25.0, 0.7, 32), (50.0, 0.9, 33)])
     def test_oracle_fdp_within_mc_error_of_alpha(self, s, pi0, seed):
         spec = _tiny_spec(pi0=pi0, s=s, m=1000, reps=60, seed=seed)
