@@ -64,7 +64,12 @@ def cases() -> dict[str, list[str]]:
         for method in ("lpo", "loo"):
             out[f"estimate_{method}_{name}"] = ["estimate", "--input", f"{{{name}}}",
                                                 "--method", method]
+    # the CSV layout: one key,value line per field of the JSON record
+    for method in ("lpo", "storey"):
+        out[f"estimate_{method}_m1000_csv"] = ["estimate", "--input", "{m1000}",
+                                               "--method", method, "--format", "csv"]
     out["mtp_m1000"] = ["mtp", "--input", "{m1000}", "--alpha", "0.15"]
+    out["mtp_m1000_csv"] = ["mtp", "--input", "{m1000}", "--alpha", "0.15", "--format", "csv"]
     out["simulate_beta_tail"] = ["simulate", "--kind", "beta_tail", "--pi0", "0.5",
                                  "--s", "10", "--m", "1000", "--reps", "2", "--seed", "14"]
     out["simulate_ushape"] = ["simulate", "--kind", "ushape", "--pi0", "0.5", "--a", "-1.5",
