@@ -17,6 +17,7 @@ import argparse
 import csv
 import itertools
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import sim_harness
@@ -26,7 +27,7 @@ from .histogram_core import PartitionSpec, load_sample, partition_count, read_pv
 from .jsonio import dumps17
 from .lpo_risk import grid_diagnostics, partition_diagnostics
 from .mtp import check_alpha, check_delta, plugin_mtp, rejected_mask
-from .pi0_estimator import EstimatorConfig, estimate_json_dict, estimate_pi0
+from .pi0_estimator import METHODS, EstimatorConfig, estimate_json_dict, estimate_pi0
 from .sim_harness import parse_scenario_file, run_scenario
 
 EXIT_OK = 0
@@ -125,6 +126,10 @@ def cmd_simulate(args) -> int:
         methods, procedures = sim_harness.summary_rows(table)
         csv.writer(sys.stdout, lineterminator="\n").writerows([*methods, [], *procedures])
     if not table.valid:
+        # each distinct cause, in order of first occurrence, then the verdict
+        causes = Counter(r.error for r in table.replicates if r.failed)
+        for error, k in causes.items():
+            sys.stderr.write(f"warning: {k} of {len(table.replicates)} replicates failed: {error}\n")
         sys.stderr.write("warning: table contains failed replicates\n")
         return EXIT_DEGENERATE
     return EXIT_OK
@@ -135,6 +140,10 @@ def cmd_risk_debug(args) -> int:
     if args.limit is not None and args.limit < 0:
         raise InvalidRange(f"--limit must be >= 0, got {args.limit}")
     if args.all:
+        given = [name for name in ("N", "k", "l") if getattr(args, name) is not None]
+        if given:
+            raise ConflictingFlags("--all enumerates every partition; "
+                                   f"drop {', '.join(map(_flag, given))}")
         partition_count(args.nmin, args.nmax)   # rejects an invalid grid range
     elif args.N is None or args.k is None or args.l is None:
         raise UsageError("risk-debug needs --N, --k and --l, or --all")
@@ -163,12 +172,16 @@ def build_parser() -> argparse.ArgumentParser:
         if with_format:
             p.add_argument("--format", choices=("json", "csv"), default="json")
 
+    def add_grid(p):
+        # a dataclass keeps each field's default as its class attribute
+        p.add_argument("--nmin", type=int, default=EstimatorConfig.n_min)
+        p.add_argument("--nmax", type=int, default=EstimatorConfig.n_max)
+
     def add_estimator(p):
-        p.add_argument("--method", choices=("lpo", "loo", "ss", "storey"), default="lpo")
-        p.add_argument("--lambda", dest="lam", type=float, default=0.5,
+        p.add_argument("--method", choices=METHODS, default=EstimatorConfig.method)
+        p.add_argument("--lambda", dest="lam", type=float, default=EstimatorConfig.lam,
                        help="cutoff for --method ss")
-        p.add_argument("--nmin", type=int, default=1)
-        p.add_argument("--nmax", type=int, default=100)
+        add_grid(p)
 
     p = sub.add_parser("estimate", help="estimate the proportion of true nulls")
     add_io(p)
@@ -206,8 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--all", action="store_true", help="enumerate the whole family")
     p.add_argument("--limit", type=int, default=None, help="cap --all output lines")
-    p.add_argument("--nmin", type=int, default=1)
-    p.add_argument("--nmax", type=int, default=100)
+    add_grid(p)
     p.set_defaults(func=cmd_risk_debug)
     return parser
 

@@ -61,7 +61,7 @@ it against the computed R_1 - R_p of whole families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cache, partial
 
 import numpy as np
@@ -79,9 +79,8 @@ __all__ = [
     "estimate_json_dict",
 ]
 
-DEFAULT_N_MIN = 1
-DEFAULT_N_MAX = 100
-DEFAULT_SE_BAND = 0.25
+METHODS = ("lpo", "loo", "ss", "storey")
+STOREY_LAMBDA = 0.5                # Storey's (2002) conventional cutoff
 
 # Partitions per block of the scan.  A block array is 96 KiB, below glibc's
 # default 128 KiB mmap threshold, so its temporaries come from the reused heap;
@@ -97,16 +96,16 @@ def _check_lambda(lam: float) -> None:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    n_min: int = DEFAULT_N_MIN
-    n_max: int = DEFAULT_N_MAX
-    method: str = "lpo"            # lpo | loo | ss | storey
-    lam: float = 0.5               # cutoff for the ss method
-    se_band: float = DEFAULT_SE_BAND
+    n_min: int = 1
+    n_max: int = 100
+    method: str = "lpo"            # one of METHODS
+    lam: float = STOREY_LAMBDA     # cutoff for the ss method
+    se_band: float = 0.25
 
     def __post_init__(self):
         _check_grid_range(self.n_min, self.n_max)
         _check_lambda(self.lam)
-        if self.method not in ("lpo", "loo", "ss", "storey"):
+        if self.method not in METHODS:
             raise InvalidMethod(f"unknown method {self.method!r}")
         if not self.se_band >= 0:      # in this form a NaN fails too
             raise ValueError("se_band must be >= 0")
@@ -114,15 +113,20 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class Pi0Estimate:
+    """One estimate, its fields in the order of its JSON record; ss and storey
+    have no grid, holdout or risk."""
     method: str
     m: int
+    pi0: float = field(init=False)  # pi0_raw clamped to [1/m, 1], used downstream
     pi0_raw: float
-    pi0: float                     # clamped to [1/m, 1], used downstream
     lambda_hat: float
     mu_hat: float
-    n_hat: int | None
-    p_hat: int | None
-    risk: float | None
+    n_hat: int | None = None
+    p_hat: int | None = None
+    risk: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "pi0", float(min(1.0, max(1.0 / self.m, self.pi0_raw))))
 
 
 class _SearchTables:
@@ -207,7 +211,7 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
 
     Raises DegenerateSelection when no partition has a finite risk."""
     if cfg.method in ("ss", "storey"):
-        lam = 0.5 if cfg.method == "storey" else cfg.lam
+        lam = STOREY_LAMBDA if cfg.method == "storey" else cfg.lam
         return ss_estimator(sample, lam, method=cfg.method)
     tab = _tables(cfg.n_min, cfg.n_max)
     m = sample.m
@@ -239,12 +243,10 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
                 break
 
     cc, p_hat, risk, _ = _rescore(cfg.method, m, sums, tab, j)
-    pi0_raw = cc / (m * tab.W[j])
     return Pi0Estimate(
         method=cfg.method,
         m=m,
-        pi0_raw=float(pi0_raw),
-        pi0=float(min(1.0, max(1.0 / m, pi0_raw))),
+        pi0_raw=float(cc / (m * tab.W[j])),
         lambda_hat=float(tab.K[j] / tab.Nf[j]),
         mu_hat=float(tab.L[j] / tab.Nf[j]),
         n_hat=int(tab.N[j]),
@@ -258,30 +260,15 @@ def ss_estimator(sample: PValueSample, lam: float, method: str = "ss") -> Pi0Est
     _check_lambda(lam)
     m = sample.m
     count = m - int(np.searchsorted(sample.values, lam, side="left"))
-    raw = count / (m * (1.0 - lam))
-    return Pi0Estimate(
-        method=method, m=m, pi0_raw=float(raw),
-        pi0=float(min(1.0, max(1.0 / m, raw))),
-        lambda_hat=float(lam), mu_hat=1.0,
-        n_hat=None, p_hat=None, risk=None,
-    )
+    return Pi0Estimate(method=method, m=m, pi0_raw=float(count / (m * (1.0 - lam))),
+                       lambda_hat=float(lam), mu_hat=1.0)
 
 
 def storey_estimator(sample: PValueSample) -> Pi0Estimate:
-    """The ss estimator at the conventional cutoff lambda = 0.5."""
-    return ss_estimator(sample, 0.5, method="storey")
+    """The ss estimator at the conventional cutoff lambda = STOREY_LAMBDA."""
+    return ss_estimator(sample, STOREY_LAMBDA, method="storey")
 
 
 def estimate_json_dict(est: Pi0Estimate) -> dict:
-    """Stable JSON field layout for CLI and harness output."""
-    return {
-        "method": est.method,
-        "m": est.m,
-        "pi0": est.pi0,
-        "pi0_raw": est.pi0_raw,
-        "lambda_hat": est.lambda_hat,
-        "mu_hat": est.mu_hat,
-        "n_hat": est.n_hat,
-        "p_hat": est.p_hat,
-        "risk": est.risk,
-    }
+    """Stable JSON field layout for CLI and harness output: the fields in order."""
+    return asdict(est)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -122,12 +122,13 @@ class ProcedureSummary:
 
 @dataclass(frozen=True)
 class SummaryTable:
+    """A study's tables and replicates, its fields in the order of its JSON dump."""
     scenario: ScenarioSpec
     alpha: float
+    valid: bool
     methods: dict
     procedures: dict
     replicates: list
-    valid: bool
 
 
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
@@ -308,6 +309,10 @@ def draw_sample(spec: ScenarioSpec, rng) -> tuple[PValueSample, np.ndarray]:
     return sample_ushape(spec.pi0, spec.a, spec.b, spec.sd, spec.m, rng)
 
 
+def _mean(values: list) -> float:
+    return math.fsum(values) / len(values) if values else math.nan
+
+
 def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS,
                  alpha: float = SCENARIO_DEFAULTS["alpha"], delta: float = 0.0) -> SummaryTable:
     """Replicated estimation and testing study.
@@ -350,24 +355,16 @@ def run_scenario(spec: ScenarioSpec, methods=DEFAULT_METHODS,
     method_rows = {}
     for method in configs:
         ests = [r.pi0_hat[method] for r in good]
-        n = len(ests)
-        mean = math.fsum(ests) / n if n else math.nan
-        bias = mean - spec.pi0
-        var = math.fsum((e - mean) ** 2 for e in ests) / n if n else math.nan
-        mse = math.fsum((e - spec.pi0) ** 2 for e in ests) / n if n else math.nan
+        mean = _mean(ests)
         method_rows[method] = MethodSummary(
-            bias_x100=bias * 100.0, std_x100=math.sqrt(var) * 100.0, mse_x100=mse * 100.0)
-    proc_rows = {}
-    for proc in [*configs, "bh", "oracle"]:
-        fdps = [r.fdp[proc] for r in good]
-        fnrs = [r.fnr[proc] for r in good]
-        n = len(fdps)
-        proc_rows[proc] = ProcedureSummary(
-            fdr_x100=math.fsum(fdps) / n * 100.0 if n else math.nan,
-            fnr_x100=math.fsum(fnrs) / n * 100.0 if n else math.nan)
-    return SummaryTable(scenario=spec, alpha=alpha, methods=method_rows,
-                        procedures=proc_rows, replicates=replicates,
-                        valid=not any(r.failed for r in replicates))
+            bias_x100=(mean - spec.pi0) * 100.0,
+            std_x100=math.sqrt(_mean([(e - mean) ** 2 for e in ests])) * 100.0,
+            mse_x100=_mean([(e - spec.pi0) ** 2 for e in ests]) * 100.0)
+    proc_rows = {proc: ProcedureSummary(fdr_x100=_mean([r.fdp[proc] for r in good]) * 100.0,
+                                        fnr_x100=_mean([r.fnr[proc] for r in good]) * 100.0)
+                 for proc in [*configs, "bh", "oracle"]}
+    return SummaryTable(scenario=spec, alpha=alpha, valid=not any(r.failed for r in replicates),
+                        methods=method_rows, procedures=proc_rows, replicates=replicates)
 
 
 # how a scenario file and simulate's flags parse each field after kind
@@ -418,19 +415,16 @@ def parse_scenario_file(path: str | Path) -> tuple[ScenarioSpec, float]:
     return ScenarioSpec(kind=fields["kind"][0], **values), alpha
 
 
-def _g(x: float) -> str:
-    return format(x, ".17g")
-
-
 def summary_rows(table: SummaryTable) -> tuple[list, list]:
-    """The method and procedure tables as rows of strings, each under its header."""
-    methods = [["method", "bias_x100", "std_x100", "mse_x100"]]
-    methods += [[name, _g(row.bias_x100), _g(row.std_x100), _g(row.mse_x100)]
-                for name, row in table.methods.items()]
-    procedures = [["procedure", "fdr_x100", "fnr_x100"]]
-    procedures += [[name, _g(row.fdr_x100), _g(row.fnr_x100)]
-                   for name, row in table.procedures.items()]
-    return methods, procedures
+    """The method and procedure tables as rows of strings, each under its header:
+    the row's name, then the fields of its summary class."""
+    tables = []
+    for key, cls, rows in (("method", MethodSummary, table.methods),
+                           ("procedure", ProcedureSummary, table.procedures)):
+        header = [key, *(f.name for f in dataclasses.fields(cls))]
+        tables.append([header, *([name, *(format(v, ".17g") for v in astuple(row))]
+                                 for name, row in rows.items())])
+    return tuple(tables)
 
 
 def write_summary_csv(table: SummaryTable, methods_path: str | Path,
@@ -441,15 +435,8 @@ def write_summary_csv(table: SummaryTable, methods_path: str | Path,
 
 
 def summary_json_dict(table: SummaryTable) -> dict:
-    """Full replicate dump for auditing."""
-    return {
-        "scenario": asdict(table.scenario),
-        "alpha": table.alpha,
-        "valid": table.valid,
-        "methods": {k: asdict(v) for k, v in table.methods.items()},
-        "procedures": {k: asdict(v) for k, v in table.procedures.items()},
-        "replicates": [asdict(r) for r in table.replicates],
-    }
+    """Full replicate dump for auditing: the table's fields in order."""
+    return asdict(table)
 
 
 def write_replicates_json(table: SummaryTable, path: str | Path) -> None:

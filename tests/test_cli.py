@@ -169,8 +169,29 @@ class TestDegenerateSelection:
         code = main(TestSimulateCommand.ARGS[:-1] + ["lpo"])
         captured = capsys.readouterr()
         assert code == 4
-        assert captured.err == "warning: table contains failed replicates\n"
+        assert captured.err == (
+            "warning: 2 of 2 replicates failed: DegenerateSelection: "
+            "no partition with N in [1, 100] has a finite risk\n"
+            "warning: table contains failed replicates\n")
         assert captured.out.startswith("method,bias_x100,std_x100,mse_x100\nlpo,nan,nan,nan\n")
+
+    def test_simulate_counts_each_cause_in_order_of_first_occurrence(self, capsys,
+                                                                     monkeypatch):
+        import pi0cv.sim_harness as mod
+
+        causes = iter(["first", "second", "first"])
+
+        def failing(sample, cfg):
+            raise ValueError(next(causes))
+
+        monkeypatch.setattr(mod, "estimate_pi0", failing)
+        argv = TestSimulateCommand.ARGS.copy()
+        argv[argv.index("--reps") + 1] = "3"
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            "warning: 2 of 3 replicates failed: ValueError: first\n"
+            "warning: 1 of 3 replicates failed: ValueError: second\n"
+            "warning: table contains failed replicates\n")
 
 
 class TestMtpCommand:
@@ -645,6 +666,23 @@ class TestRiskDebugCommand:
             assert code == 2
             assert captured.out == ""
             assert json.loads(captured.err)["error"] == error
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--N", "3"], "--N"),
+        (["--k", "0", "--l", "2"], "--k, --l"),
+        (["--N", "3", "--k", "0", "--l", "2"], "--N, --k, --l"),
+    ])
+    def test_all_beside_a_partition_flag_is_usage_error(self, capsys, tmp_path, fixture_file,
+                                                        flags, named):
+        # the flags were silently ignored; a missing input shows they are checked first
+        for path in (fixture_file, str(tmp_path / "nope.txt")):
+            code = main(["risk-debug", "--input", path, "--all", *flags])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert json.loads(captured.err) == {
+                "error": "ConflictingFlags",
+                "message": f"--all enumerates every partition; drop {named}"}
 
     def test_requires_spec_or_all(self, capsys, fixture_file):
         code = main(["risk-debug", "--input", fixture_file])

@@ -6,6 +6,7 @@ from pi0cv.histogram_core import PartitionSpec, bin_counts, grid_prefix, load_sa
 from pi0cv.lpo_risk import lpo_risk, moment_sums, mse_coefficients, select_p
 from pi0cv.pi0_estimator import (
     EstimatorConfig,
+    Pi0Estimate,
     estimate_json_dict,
     estimate_pi0,
     ss_estimator,
@@ -685,8 +686,26 @@ class TestConfigAndJson:
 
     def test_json_dict_fields(self):
         sample = load_sample([0.1, 0.2, 0.6, 0.8, 0.9])
-        est = estimate_pi0(sample, EstimatorConfig(n_max=4))
-        d = estimate_json_dict(est)
-        assert list(d) == ["method", "m", "pi0", "pi0_raw", "lambda_hat",
-                           "mu_hat", "n_hat", "p_hat", "risk"]
-        assert d["m"] == 5
+        for method in ("lpo", "storey"):
+            est = estimate_pi0(sample, EstimatorConfig(n_max=4, method=method))
+            d = estimate_json_dict(est)
+            assert list(d) == ["method", "m", "pi0", "pi0_raw", "lambda_hat",
+                               "mu_hat", "n_hat", "p_hat", "risk"]
+            assert d == {name: getattr(est, name) for name in d}
+            assert d["m"] == 5
+        # ss and storey have no grid, holdout or risk
+        assert (d["n_hat"], d["p_hat"], d["risk"]) == (None, None, None)
+
+    def test_pi0_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'pi0'"):
+            Pi0Estimate(method="ss", m=4, pi0=0.5, pi0_raw=0.5, lambda_hat=0.5, mu_hat=1.0)
+
+    @pytest.mark.parametrize("method", ["lpo", "loo", "ss", "storey"])
+    @pytest.mark.parametrize("values, raw, pi0", [
+        ([0.6, 0.7, 0.8, 0.9], 2.0, 1.0),
+        ([0.1, 0.2, 0.3, 0.4], 0.0, 0.25),
+    ], ids=["above_one", "zero"])
+    def test_pi0_is_pi0_raw_clamped_to_one_over_m_and_one(self, method, values, raw, pi0):
+        # lpo and loo build their estimate in estimate_pi0, ss and storey in ss_estimator
+        est = estimate_pi0(load_sample(values), EstimatorConfig(n_max=2, method=method))
+        assert (est.pi0_raw, est.pi0) == (raw, pi0)

@@ -22,6 +22,7 @@ from pi0cv.sim_harness import (
     sample_trunc_beta,
     sample_ushape,
     summary_json_dict,
+    summary_rows,
     write_summary_csv,
 )
 
@@ -594,6 +595,8 @@ class TestOutputs:
         mpath = tmp_path / "methods.csv"
         ppath = tmp_path / "procs.csv"
         write_summary_csv(table, mpath, ppath)
+        assert [rows[0] for rows in summary_rows(table)] == [
+            ["method", "bias_x100", "std_x100", "mse_x100"], ["procedure", "fdr_x100", "fnr_x100"]]
         mlines = mpath.read_text().strip().splitlines()
         assert mlines[0] == "method,bias_x100,std_x100,mse_x100"
         assert mlines[1].startswith("storey,")
@@ -604,6 +607,9 @@ class TestOutputs:
     def test_json_dump_carries_replicates(self):
         table = run_scenario(_tiny_spec(reps=3, m=60), methods=("storey",))
         d = summary_json_dict(table)
+        assert list(d) == ["scenario", "alpha", "valid", "methods", "procedures", "replicates"]
+        assert list(d["replicates"][0]) == ["rep", "seed_used", "pi0_hat", "fdp", "fnr",
+                                            "failed", "error"]
         assert d["scenario"]["kind"] == "beta_tail"
         assert len(d["replicates"]) == 3
         assert d["valid"] is True
