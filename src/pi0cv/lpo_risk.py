@@ -274,43 +274,49 @@ def select_p(coeffs: MseCoefficients) -> PSelection:
 
 
 def _grid_sums(cum, m: int):
-    """Four new arrays: the counts ``cum`` of one grid, or of grids laid out
-    as rows, and the prefix sums along each row of its cell masses, their
-    squares and cubes."""
-    out = [np.empty(cum.shape) for _ in range(4)]
+    """The counts ``cum`` of one grid, or of grids laid out as rows, as a new
+    float array, then per power 1, 2 and 3 of the cell masses a new pair
+    ``(head, pref)``: ``pref`` the prefix sums of the powers along each row,
+    ``head`` each prefix sum plus its row's total.  A row's last entry is its
+    grid's total, as padding cells past the grid's end add exact zeros."""
+    out = [np.empty(cum.shape)]
     out[0][...] = cum
     ac = np.diff(cum, axis=-1) / m
-    for pref, power in zip(out[1:], (ac, ac * ac, ac * ac * ac)):
+    for power in (ac, ac * ac, ac * ac * ac):
+        pref = np.empty(cum.shape)
         pref[..., 0] = 0.0
         np.cumsum(power, axis=-1, out=pref[..., 1:])
+        out.append((pref + pref[..., -1:], pref))
     return out
 
 
-def _outer(pref, ik, il, iend):
-    """``pref`` summed over the cells outside [ik, il) of a grid ending at iend."""
-    outer = pref.take(ik)       # take: indexing's values, in less time
-    outer += pref.take(iend)
+def _outer(sums, ik, il):
+    """A ``(head, pref)`` pair of ``_grid_sums`` summed over the cells outside
+    [ik, il) of their grid: the total less the prefix sums from ik to il."""
+    head, pref = sums
+    outer = head.take(ik)       # take: indexing's values, in less time
     outer -= pref.take(il)
     return outer
 
 
-def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
+def _score(m: int, sums, ik, il, nf, wc, adaptive_p: bool):
     """Score partitions from ``_grid_sums``'s arrays, of grids laid end to end.
 
-    Partition j's central cell runs from entry ik[j] to il[j] of its grid,
-    whose last entry is iend[j]; nf[j] is its N and wc[j] its central width.
-    Returns the central counts, the moment sums, p_hat, x* and the risk: with
-    ``adaptive_p`` (s11, s21, s12, s22, s32) and the holdout rule's p_hat and
-    x*; without, only the (s11, s21) the risk at p = 1 reads, 1 and None.
+    Partition j's central cell runs from entry ik[j] to il[j] of its grid;
+    nf[j] is its N and wc[j] its central width.  Each outer sum costs two
+    gathers, ``_outer``'s head at ik less pref at il.  Returns the central
+    counts, the moment sums, p_hat, x* and the risk: with ``adaptive_p``
+    (s11, s21, s12, s22, s32) and the holdout rule's p_hat and x*; without,
+    only the (s11, s21) the risk at p = 1 reads, 1 and None.
     """
-    cum, pref1, pref2, pref3 = sums
+    cum, sums1, sums2, sums3 = sums
     cc = cum.take(il) - cum.take(ik)
     ac = cc / m
     ac2 = ac * ac
     tmp = np.empty_like(ac)
     # s_ij = outer_i N^j + ac^i / wc^j, outer_i summing over the cells of
     # width 1/N outside the central one; partly in place, in that order
-    outer1, outer2 = _outer(pref1, ik, il, iend), _outer(pref2, ik, il, iend)
+    outer1, outer2 = _outer(sums1, ik, il), _outer(sums2, ik, il)
     s11 = outer1 * nf
     s11 += np.divide(ac, wc, out=tmp)
     s21 = outer2 * nf
@@ -323,7 +329,7 @@ def _score(m: int, sums, ik, il, iend, nf, wc, adaptive_p: bool):
     s12 += np.divide(ac, wc2, out=tmp)
     s22 = np.multiply(outer2, n2, out=outer2)
     s22 += np.divide(ac2, wc2, out=tmp)
-    s32 = _outer(pref3, ik, il, iend)
+    s32 = _outer(sums3, ik, il)
     s32 *= n2
     s32 += np.divide(np.power(ac, 3), wc2, out=tmp)
     p, xstar = _holdout(_mse_polynomial(m, s11, s21, s12, s22, s32))
@@ -335,8 +341,8 @@ def _records(m: int, sums, n: int, k, l) -> list[dict]:
     ``_grid_sums`` are ``sums``: ``_score``'s values, with s31 and phi."""
     wc = (l - k) / n
     cc, (s11, s21, s12, s22, s32), p, xstar, risk = _score(
-        m, sums, k, l, n, float(n), wc, adaptive_p=True)
-    s31 = _outer(sums[3], k, l, n) * n + np.power(cc / m, 3) / wc
+        m, sums, k, l, float(n), wc, adaptive_p=True)
+    s31 = _outer(sums[3], k, l) * n + np.power(cc / m, 3) / wc
     phi = _phi_polynomial(m, s11, s21, s12, s22, s32)
     columns = dict(N=np.full(k.size, n), k=k, l=l, s11=s11, s21=s21, s31=s31, s12=s12,
                    s22=s22, s32=s32, phi0=phi.phi0, phi1=phi.phi1, phi2=phi.phi2,

@@ -301,9 +301,10 @@ class TestSelectionOracle:
         keys = tab.idx_k * 2**20 + tab.idx_l        # one per partition
         order = np.argsort(keys)
         rng = np.random.default_rng(62)
-        sample = load_sample(np.where(rng.random(1000) < 0.7, rng.random(1000),
-                                      rng.beta(1, 10, 1000)))
+        raw = np.where(rng.random(1000) < 0.7, rng.random(1000), rng.beta(1, 10, 1000))
         for method in ("lpo", "loo"):
+            # a sample of its own, so this method's holes reach its scan
+            sample = load_sample(raw)
             hole = np.zeros(tab.N.size)
             best = np.argsort(full_family(sample, tab, method == "lpo").risk, kind="stable")[:3]
             hole[best] = [np.nan, -np.inf, np.inf]
@@ -505,7 +506,7 @@ def _first_partitions(tab, size):
     import copy
 
     cut = copy.copy(tab)
-    for name in ("N", "K", "L", "idx_k", "idx_l", "idx_n", "Nf", "W"):
+    for name in ("N", "K", "L", "idx_k", "idx_l", "Nf", "W"):
         setattr(cut, name, getattr(tab, name)[:size])
     return cut
 
@@ -565,10 +566,12 @@ class TestBlockedScan:
         from pi0cv.pi0_estimator import _tables
 
         rng = np.random.default_rng(65)
-        sample = load_sample(rng.random(1000))
+        raw = rng.random(1000)
         cfg = EstimatorConfig(method=method)
-        estimate_pi0(sample, cfg)           # builds the search tables once
+        estimate_pi0(load_sample(raw), cfg)     # builds the search tables once
         family_array = _tables(1, 100).N.size * 8
+        # a sample of its own, so the measured call scans it
+        sample = load_sample(raw)
         tracemalloc.start()
         try:
             estimate_pi0(sample, cfg)
@@ -585,15 +588,95 @@ class TestBlockedScan:
         import resource
 
         rng = np.random.default_rng(66)
-        sample = load_sample(rng.random(1000))
+        raw = rng.random(1000)
         cfg = EstimatorConfig(method=method)
+        # each call on a sample of its own, so each one scans
         for _ in range(3):
-            estimate_pi0(sample, cfg)
+            estimate_pi0(load_sample(raw), cfg)
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(20):
-            estimate_pi0(sample, cfg)
+            estimate_pi0(load_sample(raw), cfg)
         faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20
         assert faults < 50, f"{faults:.0f} minor page faults per warm call"
+
+
+class TestScanSharing:
+    @staticmethod
+    def _spy_scan(monkeypatch):
+        """Count ``_scan``'s runs: estimate_pi0 looks it up in the module."""
+        import pi0cv.pi0_estimator as mod
+
+        real_scan, scans = mod._scan, []
+
+        def spy(sample, tab):
+            scans.append(sample)
+            return real_scan(sample, tab)
+
+        monkeypatch.setattr(mod, "_scan", spy)
+        return scans
+
+    def test_run_scenario_scans_each_replicate_once(self, monkeypatch):
+        # lpo and loo share one scan of a replicate's sample, and each
+        # estimate equals a call on a fresh copy of the draw, bit for bit
+        import pi0cv.sim_harness as harness
+
+        scans = self._spy_scan(monkeypatch)
+        calls = []
+        real_estimate = harness.estimate_pi0
+
+        def recorded(sample, cfg):
+            est = real_estimate(sample, cfg)
+            calls.append((sample.values, cfg, est))
+            return est
+
+        monkeypatch.setattr(harness, "estimate_pi0", recorded)
+        spec = ScenarioSpec(kind="beta_tail", pi0=0.6, m=500, reps=3, seed=9, s=10.0)
+        table = harness.run_scenario(spec, methods=("lpo", "loo", "storey"))
+        assert table.valid
+        assert len(scans) == spec.reps
+        assert len(calls) == 3 * spec.reps
+        scans.clear()
+        for values, cfg, est in calls:
+            assert repr(estimate_pi0(load_sample(values.copy()), cfg)) == repr(est)
+        assert len(scans) == 2 * spec.reps      # lpo's fresh copy and loo's
+
+    def test_memo_keeps_no_sample_alive(self):
+        import gc
+
+        import pi0cv.pi0_estimator as mod
+
+        sample = load_sample(np.random.default_rng(70).random(200))
+        estimate_pi0(sample)
+        ref = mod._last_scan[0]
+        assert ref() is sample
+        del sample
+        gc.collect()
+        assert ref() is None
+
+    def test_equal_values_scan_afresh(self, monkeypatch):
+        scans = self._spy_scan(monkeypatch)
+        raw = np.random.default_rng(71).random(200)
+        first, copy = load_sample(raw), load_sample(raw)
+        lpo = estimate_pi0(first)
+        estimate_pi0(first, EstimatorConfig(method="loo"))
+        assert len(scans) == 1 and scans[0] is first
+        assert estimate_pi0(copy) == lpo
+        assert len(scans) == 2 and scans[1] is copy
+        # another grid range scans the same sample again
+        estimate_pi0(copy, EstimatorConfig(n_max=50))
+        assert len(scans) == 3
+
+    def test_memo_arrays_refuse_writes(self):
+        import pi0cv.pi0_estimator as mod
+
+        sample = load_sample(np.random.default_rng(72).random(200))
+        estimate_pi0(sample)
+        r1, (cum, *pairs) = mod._last_scan[2]
+        arrays = [r1, cum, *(array for pair in pairs for array in pair)]
+        assert len(arrays) == 8
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestSsEstimator:
