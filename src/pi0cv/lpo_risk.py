@@ -178,12 +178,16 @@ def lpo_risk(counts: BinCounts, spec: PartitionSpec, p: int) -> float:
     m = counts.total
     p = _check_p(m, p)
     ms = moment_sums(counts, spec)
-    return _risk_from_sums(ms.s11, ms.s21, m, p)
+    return float(_risk_from_sums(ms.s11, ms.s21, m, p))
 
 
-def _risk_from_sums(s11, s21, m: int, p):
+def _risk_from_sums(s11, s21, m: int, p, out=None):
+    """R_p from s11 and s21, floats or arrays, written into ``out`` when given."""
     # factor 1/((m-1)(m-p)) once; keeps the single-cell case exactly -1
-    return ((2 * m - p) * s11 - m * (m - p + 1) * s21) / ((m - 1) * (m - p))
+    risk = np.multiply(2 * m - p, s11, out=out)
+    risk -= m * (m - p + 1) * s21
+    risk /= (m - 1) * (m - p)
+    return risk
 
 
 def phi_coefficients(ms: MomentSums, m: int) -> PhiCoefficients:
@@ -322,7 +326,7 @@ def _score(m: int, sums, ik, il, nf, wc, adaptive_p: bool):
     s21 = outer2 * nf
     s21 += np.divide(ac2, wc, out=tmp)
     if not adaptive_p:
-        return cc, (s11, s21), 1.0, None, _risk_from_sums(s11, s21, m, 1.0)
+        return cc, (s11, s21), 1.0, None, _risk_from_sums(s11, s21, m, 1.0, out=tmp)
 
     n2, wc2 = nf * nf, wc * wc
     s12 = np.multiply(outer1, n2, out=outer1)
@@ -333,7 +337,7 @@ def _score(m: int, sums, ik, il, nf, wc, adaptive_p: bool):
     s32 *= n2
     s32 += np.divide(np.power(ac, 3), wc2, out=tmp)
     p, xstar = _holdout(_mse_polynomial(m, s11, s21, s12, s22, s32))
-    return cc, (s11, s21, s12, s22, s32), p, xstar, _risk_from_sums(s11, s21, m, p)
+    return cc, (s11, s21, s12, s22, s32), p, xstar, _risk_from_sums(s11, s21, m, p, out=tmp)
 
 
 def _records(m: int, sums, n: int, k, l) -> list[dict]:

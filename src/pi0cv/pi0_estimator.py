@@ -7,11 +7,11 @@ partition: pi0_raw = count / (m * (mu - lambda)) with lambda = k/N, mu = l/N.
 
 Selection is the risk argmin robustified by a small statistical band: among
 partitions whose risk lies within ``se_band`` standard errors of the minimum
-(the root selection-MSE of the argmin partition, re-scored alone for it),
-the coarsest grid N wins, then the smallest dimension, then the widest
-central cell, then the largest k.  The band suppresses winner's-curse picks
-from the ~1.7e5-strong family, where a noise-favoured fine partition can
-otherwise park its central cell in a steep region of the density and read a
+(the root selection-MSE of the argmin partition), the coarsest grid N
+wins, then the smallest dimension, then the widest central cell, then the
+largest k.  The band suppresses winner's-curse picks from the
+~1.7e5-strong family, where a noise-favoured fine partition can otherwise
+park its central cell in a steep region of the density and read a
 meaningless height; pure argmin is recovered with se_band=0.  The family is
 stored in that order, so the argmin's tie-break and the band's winner are
 both the first index that qualifies, and nothing is sorted.
@@ -27,18 +27,18 @@ blocks of the family: block-sized temporaries stay in cache and the
 allocator recycles them between blocks and calls, where family-length ones
 would be faulted in afresh on every call.  Every operation is elementwise,
 so the blocks return the same bits as one pass over the whole family.  The
-scan ranks, keeping one risk per partition; the re-score explains the pick:
-``_rescore`` runs the same kernel on one partition from the scan's sums, for
-the argmin's SE and the winner's central count, p_hat and risk.
+scan ranks, keeping one risk per partition.
 
 The scan does not depend on the method, so a call keeps it for the next: a
-one-entry memo holds a weak reference to the sample, the grid range, and
-the scan's R_1 and grid sums, made read-only.  A call on the same sample
-object and range reads them and scans nothing; any other call drops them,
-then scans.  So ``run_scenario``'s lpo and loo calls on one replicate's
-sample scan it once.  The memo keeps no sample alive and holds at most one
-scan, about 1.9 MB at N <= 100, until the next scan replaces it; a copy of a
-sample, equal in every value, is scanned afresh.
+one-entry memo holds a weak reference to the sample, the grid range, the
+scan's R_1 and grid sums, made read-only, and R_1's argmin.  The argmin is
+taken before the freeze, as numpy's argmin and argmax copy a read-only array
+first: 0.11 to 0.16 ms on R_1's 171,700 values, against 0.03 ms.  A call on
+the same sample object and range reads them and scans nothing; any other
+call drops them, then scans.  So ``run_scenario``'s lpo and loo calls on
+one replicate's sample scan it once.  The memo keeps no sample alive and
+holds at most one scan, about 1.9 MB at N <= 100, until the next scan
+replaces it; a copy of a sample, equal in every value, is scanned afresh.
 
 lpo and loo take one path and differ only in their holdout: lpo's is the
 adaptive p_hat, loo's is p = 1.  The risk at p is
@@ -48,13 +48,27 @@ adaptive p_hat, loo's is p = 1.  The risk at p is
 and s11 - s21 = sum_k alpha_k (1 - alpha_k) / w_k >= 0, so R_p grows with p
 and R_1, read from the same s11 and s21, bounds every partition's R_p from
 below.  The scan scores the family at p = 1.  Selection then reads risks at
-the holdout, a block at a time, only where a partition can still win: for
-the argmin, the partitions whose R_1 is within the margin of T0, the risk at
-the holdout of R_1's argmin, which hold every argmin and all that tie with
-it; for the band, those whose R_1 is within the margin of its upper edge,
-walked in family order up to the first block that holds a member.  lpo
-scores those candidates at their holdout; loo reads them from R_1, so it
-scores nothing past the scan but the re-scores.
+the holdout, a block at a time, only where a partition can still win, in
+two stages:
+
+1. the argmin: R_1's argmin scored alone gives T0, its risk at the
+   holdout.  The partitions whose R_1 is within the margin of T0 hold every
+   argmin and all that tie with it; the least (risk, index) of them wins.
+2. the band: of the partitions before the argmin, those whose R_1 is within
+   the margin of the band's upper edge, walked in family order, a first
+   block of ``_BAND_BLOCK`` rows and then full blocks, up to the first block
+   that holds a member.  Its first member wins, else the argmin.
+
+lpo scores the candidates at their own holdout and keeps each block's
+kernel values, so the argmin's SE and the winner's central count, p_hat and
+risk come from the block that scored the partition: no partition is scored
+twice alone.  loo's candidates are R_1 itself, so its argmin is R_1's and
+its band walk reads R_1; past the scan it runs the kernel only on one
+partition at a time (``_rescore``), for the argmin's SE and, when the band
+picks another partition, for the winner's values.  A block's values equal
+a one-partition run's bit for bit, since every kernel operation is
+elementwise, and the first member in family order does not depend on where
+the blocks end.
 
 The margin bounds how far the computed R_1 can exceed the computed R_p.
 Write R_p = (A s11 - B s21) / D with A = 2m - p, B = m (m - p + 1) and
@@ -100,6 +114,11 @@ STOREY_LAMBDA = 0.5                # Storey's (2002) conventional cutoff
 # 12,288 and 16,384 measured fastest, 4,096 and 32,768 slower (the latter
 # faults again).
 _BLOCK = 12288
+# Rows in the band walk's first block, before full blocks.  On 272 samples
+# of the benchmark's study designs at m = 1e3 to 1e5, lpo and loo, the band's
+# winner was the first of the rows walked at the median and the 51st at
+# most; a block this small costs little more than the kernel's fixed cost.
+_BAND_BLOCK = 64
 
 
 def _check_lambda(lam: float) -> None:
@@ -186,8 +205,7 @@ def _tables(n_min: int, n_max: int) -> _SearchTables:
 
 def _scan(sample: PValueSample, tab: _SearchTables):
     """Vectorised risk scan: R_1, the risk at p = 1, of every partition, and
-    the grids' prefix sums it was scored from, all read-only, as the memo
-    hands them to later calls."""
+    the grids' prefix sums it was scored from."""
     m = sample.m
     counts = np.searchsorted(sample.values, tab.edges, side="left")
     sums = _grid_sums(counts.take(tab.edge_rows), m)
@@ -196,45 +214,70 @@ def _scan(sample: PValueSample, tab: _SearchTables):
         blk = slice(lo, lo + _BLOCK)
         risk[blk] = _score(m, sums, tab.idx_k[blk], tab.idx_l[blk],
                            tab.Nf[blk], tab.W[blk], adaptive_p=False)[-1]
-    for array in (risk, sums[0], *sums[1], *sums[2], *sums[3]):
-        array.flags.writeable = False
     return risk, sums
 
 
-# The last scan: (a weak reference to its sample, (n_min, n_max), (R_1, sums)).
-# A call reads the entry once, so callers on other threads can only cost it a
-# scan, never hand it another sample's.
+# The last scan: (a weak reference to its sample, (n_min, n_max), (R_1, sums),
+# R_1's argmin).  A call reads the entry once, so callers on other threads can
+# only cost it a scan, never hand it another sample's.
 _last_scan = None
 
 
 def _memo_scan(sample: PValueSample, grids: tuple[int, int], tab: _SearchTables):
-    """``_scan``'s result for ``sample`` over ``grids``, read from the memo when
-    the last scan was of this sample object; see the module docstring."""
+    """``_scan``'s R_1 and sums for ``sample`` over ``grids``, read-only, and
+    the first index of R_1's least finite value; read from the memo when the
+    last scan was of this sample object, see the module docstring.
+
+    Raises DegenerateSelection when no partition has a finite R_1."""
     global _last_scan
     last = _last_scan
     if last is not None and last[0]() is sample and last[1] == grids:
-        return last[2]
+        return (*last[2], last[3])
     # the old scan is freed just before the new one runs, which reuses its
     # memory; freed with its sample, it would be handed back to the system
     # and faulted in afresh by the next scan
     _last_scan = None
-    result = _scan(sample, tab)
-    _last_scan = (weakref.ref(sample), grids, result)
-    return result
+    r1, sums = _scan(sample, tab)
+    # before the freeze: argmin copies a read-only array
+    j = int(r1.argmin())
+    if not np.isfinite(r1[j]):          # a NaN or -inf, or all +inf
+        finite = np.isfinite(r1)
+        if not finite.any():
+            raise DegenerateSelection(f"no partition with N in [{grids[0]}, {grids[1]}] "
+                                      "has a finite risk")
+        r1 = np.where(finite, r1, np.inf)
+        j = int(r1.argmin())
+    for array in (r1, sums[0], *sums[1], *sums[2], *sums[3]):
+        array.flags.writeable = False
+    _last_scan = (weakref.ref(sample), grids, (r1, sums), j)
+    return r1, sums, j
 
 
-def _risk_blocks(method: str, m: int, sums, tab: _SearchTables, r1, rows: np.ndarray):
-    """The risks of the partitions ``rows`` at the method's holdout, one block
-    of ``_BLOCK`` rows at a time: lpo scores them at their own holdout, loo
-    reads them from the scan's R_1 ``r1``; a non-finite risk reads +inf."""
-    for lo in range(0, rows.size, _BLOCK):
-        j = rows[lo:lo + _BLOCK]
+def _risk_blocks(method: str, m: int, sums, tab: _SearchTables, r1, rows: np.ndarray,
+                 first: int):
+    """The partitions ``rows`` at the method's holdout, ``first`` rows, then
+    ``_BLOCK`` at a time.  Yields a block's rows, their risks, a non-finite
+    one read as +inf, and the values ``_row`` reads: lpo scores the rows at
+    their own holdout, and its values are ``_score``'s; loo reads the risks
+    from the scan's R_1 ``r1``, and has no values."""
+    lo, size = 0, first
+    while lo < rows.size:
+        j = rows[lo:lo + size]
+        lo, size = lo + size, _BLOCK
         if method == "loo":
-            yield r1[j]
+            yield j, r1[j], None
             continue
-        risk = _score(m, sums, tab.idx_k[j], tab.idx_l[j], tab.Nf[j], tab.W[j],
-                      adaptive_p=True)[-1]
-        yield np.where(np.isfinite(risk), risk, np.inf)
+        scored = _score(m, sums, tab.idx_k[j], tab.idx_l[j], tab.Nf[j], tab.W[j],
+                        adaptive_p=True)
+        yield j, np.where(np.isfinite(scored[-1]), scored[-1], np.inf), scored
+
+
+def _row(m: int, scored, i: int):
+    """Row i of ``_score``'s adaptive values ``scored``: its central count,
+    p_hat, risk and MSE polynomial."""
+    cc, moments, p, _, risk = scored
+    one = slice(i, i + 1)
+    return cc[i], p[i], risk[i], _mse_polynomial(m, *(s[one] for s in moments))
 
 
 def _rescore(method: str, m: int, sums, tab: _SearchTables, j: int):
@@ -242,11 +285,11 @@ def _rescore(method: str, m: int, sums, tab: _SearchTables, j: int):
     method's holdout: its central count, p_hat, risk and MSE polynomial.  loo's
     p_hat is 1 and its risk R_1, from the same sums as the scan's."""
     one = slice(j, j + 1)
-    cc, moments, p, _, risk = _score(m, sums, tab.idx_k[one], tab.idx_l[one],
-                                     tab.Nf[one], tab.W[one], adaptive_p=True)
+    cc, moments, p, xstar, risk = _score(m, sums, tab.idx_k[one], tab.idx_l[one],
+                                         tab.Nf[one], tab.W[one], adaptive_p=True)
     if method == "loo":
         p, risk = np.ones(1), _risk_from_sums(*moments[:2], m, 1.0)
-    return cc[0], p[0], risk[0], _mse_polynomial(m, *moments)
+    return _row(m, (cc, moments, p, xstar, risk), 0)
 
 
 def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig()) -> Pi0Estimate:
@@ -258,34 +301,38 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
         return ss_estimator(sample, lam, method=cfg.method)
     tab = _tables(cfg.n_min, cfg.n_max)
     m = sample.m
-    r1, sums = _memo_scan(sample, (cfg.n_min, cfg.n_max), tab)
-
-    # the family is in selection order, so the first index wins every tie
-    j = int(r1.argmin())
-    if not np.isfinite(r1[j]):          # a NaN or -inf, or all +inf
-        finite = np.isfinite(r1)
-        if not finite.any():
-            raise DegenerateSelection(f"no partition with N in [{cfg.n_min}, {cfg.n_max}] "
-                                      "has a finite risk")
-        r1 = np.where(finite, r1, np.inf)
-        j = int(r1.argmin())
-
+    # the family is in selection order, so the first index wins every tie;
+    # j is R_1's argmin, and loo's
+    r1, sums, j = _memo_scan(sample, (cfg.n_min, cfg.n_max), tab)
     risks = partial(_risk_blocks, cfg.method, m, sums, tab, r1)
-    t0 = next(risks(np.array([j])))[0]
-    rows = np.flatnonzero(r1 <= t0 + tab.margin)
-    j = int(rows[np.concatenate(list(risks(rows))).argmin()])
+    kept = None             # _row's values of partition j, where a block scored it
+    if cfg.method == "lpo":
+        # the least (risk, index): j alone gives T0, then the others within
+        # the margin of it
+        _, (t0,), scored = next(risks(np.array([j]), 1))
+        best = (t0, j, scored, 0)
+        rows = np.flatnonzero(r1 <= t0 + tab.margin)
+        for blk, rp, scored in risks(rows[rows != j], _BLOCK):
+            i = int(rp.argmin())
+            if (rp[i], blk[i]) < best[:2]:
+                best = (rp[i], int(blk[i]), scored, i)
+        _, j, scored, i = best
+        kept = _row(m, scored, i)
     if cfg.se_band > 0.0:
-        _, p, risk, coeffs = _rescore(cfg.method, m, sums, tab, j)
+        kept = kept or _rescore(cfg.method, m, sums, tab, j)
+        _, p, risk, coeffs = kept
         se = np.sqrt(max(float(selection_mse(coeffs, p)[0]), 0.0))
         band = risk + cfg.se_band * (se if np.isfinite(se) else 0.0)
-        # j is a member, so the walk ends by it
-        rows = np.flatnonzero(r1[:j + 1] <= band + tab.margin)
-        for lo, rp in zip(range(0, rows.size, _BLOCK), risks(rows)):
-            if (rp <= band).any():
-                j = int(rows[lo + np.argmax(rp <= band)])
+        # j is a member: the first member before it, if any, wins
+        rows = np.flatnonzero(r1[:j] <= band + tab.margin)
+        for blk, rp, scored in risks(rows, _BAND_BLOCK):
+            hit = rp <= band
+            if hit.any():
+                i = int(hit.argmax())
+                j, kept = int(blk[i]), None if scored is None else _row(m, scored, i)
                 break
 
-    cc, p_hat, risk, _ = _rescore(cfg.method, m, sums, tab, j)
+    cc, p_hat, risk, _ = kept or _rescore(cfg.method, m, sums, tab, j)
     return Pi0Estimate(
         method=cfg.method,
         m=m,

@@ -277,7 +277,9 @@ def sample_trunc_beta(pi0: float, s: float, lambda_star: float, m: int,
     """Alternative density s/l* (1 - t/l*)^(s-1) supported on [0, lambda_star]."""
     nulls = rng.random(m) < pi0
     u = rng.random(m)
-    return _draw(u[nulls], lambda_star * (1.0 - u[~nulls] ** (1.0 / s)))
+    # compress: boolean indexing's values, in about a quarter of the time
+    return _draw(np.compress(nulls, u),
+                 lambda_star * (1.0 - np.compress(~nulls, u) ** (1.0 / s)))
 
 
 def sample_ushape(pi0: float, a: float, b: float, sd: float, m: int,

@@ -422,6 +422,8 @@ class TestSelectionOracle:
                 yield risk
 
         monkeypatch.setattr(mod, "_BLOCK", 7)
+        # the band walk's first block, then full ones
+        monkeypatch.setattr(mod, "_BAND_BLOCK", 3)
         monkeypatch.setattr(mod, "_scan", scan_in_own_blocks)
         monkeypatch.setattr(mod, "_risk_blocks", counted_blocks)
         rng = np.random.default_rng(60)
@@ -463,6 +465,50 @@ class TestSelectionOracle:
             assert not any(adaptive for _, adaptive in scan), name
             assert sum(size for size, _ in scan) == tab.N.size, name
             assert len(rest) <= 2 and all(size == 1 for size, _ in rest), (name, rest)
+
+    @pytest.mark.parametrize("se_band", [0.0, 0.25])
+    def test_lpo_scores_no_partition_twice_alone(self, monkeypatch, se_band):
+        # past the scan, lpo runs the kernel on R_1's argmin alone for T0, then
+        # on blocks of the candidates within the margin of T0 and of the band
+        # walk; the SE and the winner's values come from the blocks that
+        # scored them, never from a partition scored again alone
+        import pi0cv.pi0_estimator as mod
+
+        real_score = mod._score
+        tab = mod._tables(1, 100)
+        keys = tab.idx_k * 2**20 + tab.idx_l        # one per partition
+        order = np.argsort(keys)
+        calls = []
+
+        def spy(m, sums, ik, il, *args, adaptive_p):
+            scored = real_score(m, sums, ik, il, *args, adaptive_p=adaptive_p)
+            if adaptive_p:
+                rows = order[np.searchsorted(keys[order], ik * 2**20 + il)]
+                calls.append((rows.tolist(), scored[-1]))
+            return scored
+
+        monkeypatch.setattr(mod, "_score", spy)
+        for name, raw in _selection_samples().items():
+            sample = load_sample(raw)
+            calls.clear()
+            estimate_pi0(sample, EstimatorConfig(se_band=se_band))
+            r1 = mod._last_scan[2][0]
+            j = int(np.argmin(r1))
+            (first, t0), *_ = calls
+            assert first == [j], name
+            t0 = float(t0[0]) if np.isfinite(t0[0]) else np.inf
+            allowed = {j, *np.flatnonzero(r1 <= t0 + tab.margin).tolist()}
+            if se_band > 0:
+                full = full_family(sample, tab, True)
+                jmin = int(np.argmin(np.where(np.isfinite(full.risk), full.risk, np.inf)))
+                se = float(np.sqrt(max(full.mse[jmin], 0.0)))
+                band = full.risk[jmin] + se_band * (se if np.isfinite(se) else 0.0)
+                allowed.update(np.flatnonzero(r1[:jmin] <= band + tab.margin).tolist())
+            scored = set()
+            for rows, _ in calls:
+                assert set(rows) <= allowed, name
+                assert len(rows) > 1 or rows[0] not in scored, (name, rows)
+                scored.update(rows)
 
     def test_selection_sorts_nothing(self, monkeypatch):
         # the family is stored in selection order: no call sorts, the
@@ -665,6 +711,16 @@ class TestScanSharing:
         # another grid range scans the same sample again
         estimate_pi0(copy, EstimatorConfig(n_max=50))
         assert len(scans) == 3
+
+    @pytest.mark.parametrize("se_band", [0.0, 0.25, 1.0])
+    def test_loo_after_lpo_equals_loo_on_a_copy(self, se_band):
+        # the memo hands loo the argmin lpo's call found, with R_1 and the sums
+        for name, raw in _selection_samples().items():
+            sample = load_sample(raw)
+            estimate_pi0(sample, EstimatorConfig(se_band=se_band))
+            loo = EstimatorConfig(method="loo", se_band=se_band)
+            assert repr(estimate_pi0(sample, loo)) == \
+                   repr(estimate_pi0(load_sample(raw.copy()), loo)), name
 
     def test_memo_arrays_refuse_writes(self):
         import pi0cv.pi0_estimator as mod
