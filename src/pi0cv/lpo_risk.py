@@ -34,12 +34,12 @@ m-1, of smaller selection MSE wins.  With all mass in one cell (bias2 == 0)
 the criterion is flat in p, and p = 1.  The selection MSE clamps the
 variance at 0, which the exact coefficients never need on [1, m-1].  The MSE
 polynomial, the holdout rule, the selection MSE and the risk are each
-written once here, for floats or arrays.  ``_score`` alone turns grid prefix
-sums into per-partition values.  The risk reads s11 and s21 only, all that
-the p = 1 scan forms; lpo's candidate blocks and ``pi0_estimator._rescore``
-add s12, s22 and s32 for the holdout rule and the SE, and risk-debug's
-records add s31; the fsum chain (``moment_sums`` to ``lpo_risk``) is the
-one-partition reference.
+written once here, for floats or arrays.  ``_score`` alone turns prefix sums
+of squared and cubed cell masses into per-partition values; the masses
+outside a central cell of mass ac sum to 1 - ac.  The risk reads s11 and s21,
+all the p = 1 scan forms; lpo's candidates and ``pi0_estimator._rescore``
+add s12, s22 and s32 for the holdout rule and the SE, risk-debug adds s31,
+and the fsum chain (``moment_sums`` to ``lpo_risk``) is the reference.
 
 A second coefficient encoding (``phi_coefficients``, fields phi0..phi3) is
 kept because the risk-debug interface reports it for cross-implementation
@@ -279,14 +279,13 @@ def select_p(coeffs: MseCoefficients) -> PSelection:
 
 def _grid_sums(cum, m: int):
     """The counts ``cum`` of one grid, or of grids laid out as rows, as a new
-    float array, then per power 1, 2 and 3 of the cell masses a new pair
+    float array, then per power 2 and 3 of the cell masses a new pair
     ``(head, pref)``: ``pref`` the prefix sums of the powers along each row,
     ``head`` each prefix sum plus its row's total.  A row's last entry is its
     grid's total, as padding cells past the grid's end add exact zeros."""
-    out = [np.empty(cum.shape)]
-    out[0][...] = cum
+    out = [cum.astype(float)]
     ac = np.diff(cum, axis=-1) / m
-    for power in (ac, ac * ac, ac * ac * ac):
+    for power in (ac * ac, ac * ac * ac):
         pref = np.empty(cum.shape)
         pref[..., 0] = 0.0
         np.cumsum(power, axis=-1, out=pref[..., 1:])
@@ -295,8 +294,8 @@ def _grid_sums(cum, m: int):
 
 
 def _outer(sums, ik, il):
-    """A ``(head, pref)`` pair of ``_grid_sums`` summed over the cells outside
-    [ik, il) of their grid: the total less the prefix sums from ik to il."""
+    """A power 2 or 3 ``(head, pref)`` pair of ``_grid_sums`` summed over the
+    cells outside [ik, il) of its grid: the total less the sums from ik to il."""
     head, pref = sums
     outer = head.take(ik)       # take: indexing's values, in less time
     outer -= pref.take(il)
@@ -307,20 +306,20 @@ def _score(m: int, sums, ik, il, nf, wc, adaptive_p: bool):
     """Score partitions from ``_grid_sums``'s arrays, of grids laid end to end.
 
     Partition j's central cell runs from entry ik[j] to il[j] of its grid;
-    nf[j] is its N and wc[j] its central width.  Each outer sum costs two
-    gathers, ``_outer``'s head at ik less pref at il.  Returns the central
-    counts, the moment sums, p_hat, x* and the risk: with ``adaptive_p``
-    (s11, s21, s12, s22, s32) and the holdout rule's p_hat and x*; without,
-    only the (s11, s21) the risk at p = 1 reads, 1 and None.
+    nf[j] is its N and wc[j] its central width.  An outer sum of power 2 or 3
+    costs two gathers (``_outer``), and of power 1 none: it is 1 - ac.  Returns
+    the central counts, the moment sums, p_hat, x* and the risk: with
+    ``adaptive_p`` (s11, s21, s12, s22, s32) and the holdout rule's p_hat and
+    x*; without, only the (s11, s21) the risk at p = 1 reads, 1 and None.
     """
-    cum, sums1, sums2, sums3 = sums
+    cum, sums2, sums3 = sums
     cc = cum.take(il) - cum.take(ik)
     ac = cc / m
     ac2 = ac * ac
     tmp = np.empty_like(ac)
     # s_ij = outer_i N^j + ac^i / wc^j, outer_i summing over the cells of
     # width 1/N outside the central one; partly in place, in that order
-    outer1, outer2 = _outer(sums1, ik, il), _outer(sums2, ik, il)
+    outer1, outer2 = 1.0 - ac, _outer(sums2, ik, il)
     s11 = outer1 * nf
     s11 += np.divide(ac, wc, out=tmp)
     s21 = outer2 * nf
@@ -346,7 +345,7 @@ def _records(m: int, sums, n: int, k, l) -> list[dict]:
     wc = (l - k) / n
     cc, (s11, s21, s12, s22, s32), p, xstar, risk = _score(
         m, sums, k, l, float(n), wc, adaptive_p=True)
-    s31 = _outer(sums[3], k, l) * n + np.power(cc / m, 3) / wc
+    s31 = _outer(sums[2], k, l) * n + np.power(cc / m, 3) / wc
     phi = _phi_polynomial(m, s11, s21, s12, s22, s32)
     columns = dict(N=np.full(k.size, n), k=k, l=l, s11=s11, s21=s21, s31=s31, s12=s12,
                    s22=s22, s32=s32, phi0=phi.phi0, phi1=phi.phi1, phi2=phi.phi2,

@@ -17,17 +17,17 @@ stored in that order, so the argmin's tie-break and the band's winner are
 both the first index that qualifies, and nothing is sorted.
 
 The scan is vectorised in two stages.  The cell counts of every grid N and
-their power prefix sums are built for all grids at once as the rows of one
-padded array: the sample is searched once per distinct edge k/N, and one
-gather lays the counts out in rows.  After that every (k, l) pair costs
-O(1): a sum over the cells outside the central one is a row's head (its
-prefix sum plus the grid's total) at k less its prefix sum at l, two
-gathers.  The per-partition stage (``lpo_risk._score``) then runs over
-blocks of the family: block-sized temporaries stay in cache and the
-allocator recycles them between blocks and calls, where family-length ones
-would be faulted in afresh on every call.  Every operation is elementwise,
-so the blocks return the same bits as one pass over the whole family.  The
-scan ranks, keeping one risk per partition.
+the prefix sums of their squares and cubes are built for all grids at once
+as the rows of one padded array: the sample is searched once per distinct
+edge k/N, and one gather lays the counts out in rows.  After that R_1 costs
+four gathers per (k, l): two for the central mass ac, and a row's head (its
+prefix sum plus the grid's total) at k less its prefix sum at l for the
+outer sum of squares; the outer masses sum to 1 - ac.  The per-partition
+stage (``lpo_risk._score``) then runs over blocks of the family: block-sized
+temporaries stay in cache and the allocator recycles them between blocks and
+calls, where family-length ones would be faulted in afresh on every call.
+Every operation is elementwise, so the blocks return the same bits as one
+pass over the whole family.  The scan ranks, keeping one risk per partition.
 
 The scan does not depend on the method, so a call keeps it for the next: a
 one-entry memo holds a weak reference to the sample, the grid range, the
@@ -37,7 +37,7 @@ first: 0.11 to 0.16 ms on R_1's 171,700 values, against 0.03 ms.  A call on
 the same sample object and range reads them and scans nothing; any other
 call drops them, then scans.  So ``run_scenario``'s lpo and loo calls on
 one replicate's sample scan it once.  The memo keeps no sample alive and
-holds at most one scan, about 1.9 MB at N <= 100, until the next scan
+holds at most one scan, about 1.8 MB at N <= 100, until the next scan
 replaces it; a copy of a sample, equal in every value, is scanned afresh.
 
 lpo and loo take one path and differ only in their holdout: lpo's is the
@@ -78,11 +78,13 @@ with u = 2^-53 its error is at most u (4 A s11 + 5 B s21) / D.  On
 1 <= p <= m - 1, A/D <= 3 and B/D <= 4, and s21 <= s11 <= N, as every cell
 is at least 1/N wide and the masses sum to 1.  Each risk is thus within
 32 u N of its value on the computed sums, and R_1 - R_p within
-64 u N = 32 eps N.  That takes the computed s11 >= s21: they are equal bit
-for bit when all mass lies in one cell, and otherwise differ by at least
-(m - 1)/m^2, above their rounding (some 6 N^2 u) for m below 1e11 at
-N = 100.  The margin is 64 eps n_max, twice the bound, and the tests check
-it against the computed R_1 - R_p of whole families.
+64 u N = 32 eps N.  That takes the computed s11 >= s21.  The kernel's s11
+is (1 - ac) N + ac / W and its s21 o2 N + ac^2 / W, o2 the outer sum of
+squares.  With all mass in one cell, ac = 1 and o2 = 0, or ac = 0 and
+o2 = 1, all exact, so the two are equal bit for bit.  Otherwise they differ
+by at least (m - 1)/m^2, above their rounding (5 N u for s11, some 3 N^2 u
+for s21's prefix sums) for m below 2e11 at N = 100.  The margin is
+64 eps n_max, twice the bound; tests check it on whole families.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def _memo_scan(sample: PValueSample, grids: tuple[int, int], tab: _SearchTables)
                                       "has a finite risk")
         r1 = np.where(finite, r1, np.inf)
         j = int(r1.argmin())
-    for array in (r1, sums[0], *sums[1], *sums[2], *sums[3]):
+    for array in (r1, sums[0], *sums[1], *sums[2]):
         array.flags.writeable = False
     _last_scan = (weakref.ref(sample), grids, (r1, sums), j)
     return r1, sums, j
@@ -272,24 +274,24 @@ def _risk_blocks(method: str, m: int, sums, tab: _SearchTables, r1, rows: np.nda
         yield j, np.where(np.isfinite(scored[-1]), scored[-1], np.inf), scored
 
 
-def _row(m: int, scored, i: int):
+def _row(m: int, scored, i: int, mse: bool = True):
     """Row i of ``_score``'s adaptive values ``scored``: its central count,
-    p_hat, risk and MSE polynomial."""
+    p_hat, risk and, with ``mse``, MSE polynomial, else None."""
     cc, moments, p, _, risk = scored
-    one = slice(i, i + 1)
-    return cc[i], p[i], risk[i], _mse_polynomial(m, *(s[one] for s in moments))
+    coeffs = _mse_polynomial(m, *(s[i:i + 1] for s in moments)) if mse else None
+    return cc[i], p[i], risk[i], coeffs
 
 
-def _rescore(method: str, m: int, sums, tab: _SearchTables, j: int):
+def _rescore(method: str, m: int, sums, tab: _SearchTables, j: int, mse: bool = True):
     """Partition j scored alone from the per-grid sums ``_scan`` returns, at the
-    method's holdout: its central count, p_hat, risk and MSE polynomial.  loo's
-    p_hat is 1 and its risk R_1, from the same sums as the scan's."""
+    method's holdout: ``_row``'s values.  loo's p_hat is 1 and its risk R_1,
+    from the same sums as the scan's."""
     one = slice(j, j + 1)
     cc, moments, p, xstar, risk = _score(m, sums, tab.idx_k[one], tab.idx_l[one],
                                          tab.Nf[one], tab.W[one], adaptive_p=True)
     if method == "loo":
         p, risk = np.ones(1), _risk_from_sums(*moments[:2], m, 1.0)
-    return _row(m, (cc, moments, p, xstar, risk), 0)
+    return _row(m, (cc, moments, p, xstar, risk), 0, mse)
 
 
 def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig()) -> Pi0Estimate:
@@ -317,10 +319,9 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
             if (rp[i], blk[i]) < best[:2]:
                 best = (rp[i], int(blk[i]), scored, i)
         _, j, scored, i = best
-        kept = _row(m, scored, i)
+        kept = _row(m, scored, i, mse=cfg.se_band > 0.0)
     if cfg.se_band > 0.0:
-        kept = kept or _rescore(cfg.method, m, sums, tab, j)
-        _, p, risk, coeffs = kept
+        _, p, risk, coeffs = kept = kept or _rescore(cfg.method, m, sums, tab, j)
         se = np.sqrt(max(float(selection_mse(coeffs, p)[0]), 0.0))
         band = risk + cfg.se_band * (se if np.isfinite(se) else 0.0)
         # j is a member: the first member before it, if any, wins
@@ -329,10 +330,10 @@ def estimate_pi0(sample: PValueSample, cfg: EstimatorConfig = EstimatorConfig())
             hit = rp <= band
             if hit.any():
                 i = int(hit.argmax())
-                j, kept = int(blk[i]), None if scored is None else _row(m, scored, i)
+                j, kept = int(blk[i]), scored and _row(m, scored, i, mse=False)
                 break
 
-    cc, p_hat, risk, _ = kept or _rescore(cfg.method, m, sums, tab, j)
+    cc, p_hat, risk, _ = kept or _rescore(cfg.method, m, sums, tab, j, mse=False)
     return Pi0Estimate(
         method=cfg.method,
         m=m,

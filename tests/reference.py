@@ -264,21 +264,21 @@ def full_family(sample, tab, adaptive_p):
     ``loo`` (the risk at p = 1, R_1).
 
     It shares only ``tab.N``, ``tab.K`` and ``tab.L`` with the search.  It
-    lays each grid's prefix sums out end to end at offsets of its own, builds
-    them grid by grid, and runs the per-partition arithmetic of
-    ``lpo_risk._score`` over the whole family at once, in the kernel's order,
-    so its values are the kernel's bit for bit."""
+    lays each grid's prefix sums of squared and cubed masses out end to end
+    at offsets of its own, builds them grid by grid, and runs the
+    per-partition arithmetic of ``lpo_risk._score`` over the whole family at
+    once, in the kernel's order, so its values are the kernel's bit for bit:
+    the outer masses sum to 1 - ac, as in the kernel."""
     values, m = sample.values, sample.m
     grid = np.unique(tab.N)
     starts = np.concatenate([[0], np.cumsum(grid + 1)])
-    cum, pref1, pref2, pref3 = (np.empty(starts[-1]) for _ in range(4))
+    cum, pref2, pref3 = (np.empty(starts[-1]) for _ in range(3))
     for n, off in zip(grid.tolist(), starts.tolist()):
         c = np.searchsorted(values, np.arange(n + 1) / n, side="left").astype(float)
         c[-1] = m
         cum[off:off + n + 1] = c
         ac = np.diff(c) / m
-        pref1[off] = pref2[off] = pref3[off] = 0.0
-        np.cumsum(ac, out=pref1[off + 1:off + n + 1])
+        pref2[off] = pref3[off] = 0.0
         np.cumsum(ac * ac, out=pref2[off + 1:off + n + 1])
         np.cumsum(ac * ac * ac, out=pref3[off + 1:off + n + 1])
 
@@ -294,7 +294,7 @@ def full_family(sample, tab, adaptive_p):
     def outer(pref):
         return pref[idx_k] + pref[idx_n] - pref[idx_l]
 
-    o1, o2 = outer(pref1), outer(pref2)
+    o1, o2 = 1 - ac, outer(pref2)
     s11 = o1 * nf + ac / wc
     s21 = o2 * nf + ac2 / wc
     s12 = o1 * n2 + ac / wc2

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import types
 from fractions import Fraction
@@ -558,3 +559,69 @@ class TestPartitionDiagnostics:
         assert np.array_equal(risk.view(np.int64), full.risk[pos].view(np.int64))
         # the search's scan is R_1
         assert np.array_equal(_scan(sample, tab)[0].view(np.int64), full.loo.view(np.int64))
+
+
+def _one_cell_samples():
+    rng = np.random.default_rng(24)
+    return {
+        "constant_m1000": np.full(1000, 0.123),
+        "zeros": np.zeros(10),
+        "ones": np.ones(10),
+        "halves": np.array([0.5, 0.5]),
+        # every value inside the cell [17/n, 18/n) of grid n
+        "cell_n49": (17.1 + 0.8 * rng.random(1000)) / 49,
+        "cell_n98": (17.1 + 0.8 * rng.random(1000)) / 98,
+    }
+
+
+def _fsum_samples(name):
+    rng = np.random.default_rng(25)
+    m = {"m2": 2, "m3": 3, "m1000000": 1_000_000}.get(name, 1000)
+    mixture = np.where(rng.random(m) < 0.8, rng.random(m), rng.beta(1, 20, m))
+    if name.startswith("lattice"):
+        b = int(name.removeprefix("lattice"))
+        return np.ceil(mixture * (b + 1)) / (b + 1)
+    return mixture
+
+
+class TestOuterMass:
+    """s11 and s12 read the masses outside the central cell as 1 - ac."""
+
+    @pytest.mark.parametrize("name", list(_one_cell_samples()))
+    def test_one_cell_partitions_tie_bit_for_bit(self, name):
+        from pi0cv.lpo_risk import _score
+        from pi0cv.pi0_estimator import _scan, _tables
+
+        tab = _tables(1, 100)
+        sample = load_sample(_one_cell_samples()[name])
+        m = sample.m
+        sums = _scan(sample, tab)[1]
+        cc, (s11, s21, *_), p_hat, _, _ = _score(m, sums, tab.idx_k, tab.idx_l, tab.Nf,
+                                                 tab.W, adaptive_p=True)
+        # row N - 1 holds grid N's counts; the cell holding all m, else -1
+        cells = np.diff(sums[0], axis=1)
+        whole = np.where(cells.max(axis=1) == m, cells.argmax(axis=1), -1)[tab.N - 1]
+        one_cell = (cc == m) | ((whole >= 0) & ((whole < tab.K) | (whole >= tab.L)))
+        assert one_cell.any()
+        assert np.array_equal(s11[one_cell].view(np.int64), s21[one_cell].view(np.int64))
+        assert (p_hat[one_cell] == 1).all()
+        # elsewhere the computed sums keep s11 > s21, as the margin needs
+        assert (s11[~one_cell] > s21[~one_cell]).all()
+
+    @pytest.mark.parametrize("name", ["m2", "m3", "m1000", "m1000000", "lattice19",
+                                      "lattice49", "lattice99"])
+    def test_grid_records_agree_with_fsum(self, name):
+        # the bound, stated before the first run: the kernel's s11 =
+        # (1 - ac) N + ac / W is rounded five times and s11 <= N, and the
+        # fsum of correctly rounded alpha / omega is within 3 u of s11; s12 =
+        # (1 - ac) N^2 + ac / W^2 likewise within 6 + 4 roundings of N^2.
+        # 8 eps N^j = 16 u N^j covers both
+        eps = np.finfo(float).eps
+        sample = load_sample(_fsum_samples(name))
+        for n in (1, 2, 3, 7, 10, 49, 98, 100):
+            prefix = grid_prefix(sample, n)
+            for rec in itertools.islice(grid_diagnostics(sample, n), 0, None, 1 + n // 10):
+                spec = PartitionSpec(n, rec["k"], rec["l"])
+                ms = moment_sums(bin_counts(prefix, spec), spec)
+                assert abs(rec["s11"] - ms.s11) <= 8 * eps * n, spec
+                assert abs(rec["s12"] - ms.s12) <= 8 * eps * n * n, spec
